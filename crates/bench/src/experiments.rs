@@ -1,8 +1,11 @@
-//! One function per reconstructed experiment (E1–E17) plus the ablations.
+//! One function per experiment: the reconstructed paper experiments
+//! (E1–E17), the extensions (E18–E30), the ablations and the self-checks.
 //!
 //! Each function returns a result struct carrying both the key numbers (for
 //! assertions in tests and EXPERIMENTS.md bookkeeping) and a rendered text
-//! table (what the `repro` binary prints).
+//! table. [`EXPERIMENTS`] registers each one once, turning its result into
+//! an [`Artifact`] (table, CSV, HTML sections, files, verdict, fingerprint)
+//! that the `repro` binary handles generically.
 
 use cputopo::{enumerate, TopologyBuilder};
 use loadgen::ClosedLoop;
@@ -14,6 +17,7 @@ use microsvc::{
 };
 use scaleup::placement::{self, Objective, Policy};
 use scaleup::scaling::{self, ScalePoint};
+use scaleup::html::LineChart;
 use scaleup::{tuner, Lab, UslFit};
 use simcore::{SimDuration, SimTime, SnapReader, SnapWriter};
 use std::fmt::Write as _;
@@ -2991,17 +2995,96 @@ pub fn csv_e29(sweep: &ChaosSweep) -> String {
     csv
 }
 
-// ------------------------------------------------------- experiment catalog
+// ------------------------------------------------------ experiment registry
 
-/// One entry of the experiment catalog: id, one-line title, and coarse
-/// wall-clock estimates for CI budgeting (release build, default jobs).
+/// One HTML report section an experiment contributes ahead of its text table.
+#[derive(Debug, Clone)]
+pub enum Section {
+    /// A line chart under a heading.
+    Chart(&'static str, LineChart),
+    /// A table: heading, column headers, rows.
+    Table(&'static str, &'static [&'static str], Vec<Vec<String>>),
+}
+
+/// Everything one experiment run produces. `repro` prints, writes and
+/// checks it the same way for every registry entry.
+#[derive(Debug, Clone)]
+pub struct Artifact {
+    /// The text table printed to stdout and embedded in the HTML report.
+    pub table: String,
+    /// Plot-ready CSV for `--csv DIR`: file name and contents.
+    pub csv: Option<(&'static str, String)>,
+    /// HTML sections for `--html FILE`, in report order.
+    pub html: Vec<Section>,
+    /// Files written under `results/`: file name and contents.
+    pub results: Vec<(&'static str, Vec<u8>)>,
+    /// `Err` fails the run with this message after the table.
+    pub verdict: Result<(), String>,
+    /// Wall-clock-free text the golden tests hash: the table unless it
+    /// embeds host measurements, `None` when the output depends on the
+    /// source tree rather than the simulation.
+    pub fingerprint: Option<String>,
+}
+
+impl Artifact {
+    /// A bare table, fingerprinted by itself.
+    pub fn new(table: &str) -> Self {
+        Artifact {
+            table: table.to_owned(),
+            csv: None,
+            html: Vec::new(),
+            results: Vec::new(),
+            verdict: Ok(()),
+            fingerprint: Some(table.to_owned()),
+        }
+    }
+
+    fn csv(mut self, file: &'static str, contents: String) -> Self {
+        self.csv = Some((file, contents));
+        self
+    }
+
+    fn chart(mut self, heading: &'static str, chart: LineChart) -> Self {
+        self.html.push(Section::Chart(heading, chart));
+        self
+    }
+
+    fn html_table(
+        mut self,
+        heading: &'static str,
+        headers: &'static [&'static str],
+        rows: Vec<Vec<String>>,
+    ) -> Self {
+        self.html.push(Section::Table(heading, headers, rows));
+        self
+    }
+
+    fn result(mut self, file: &'static str, contents: Vec<u8>) -> Self {
+        self.results.push((file, contents));
+        self
+    }
+
+    fn check(mut self, ok: bool, failure: &str) -> Self {
+        if !ok {
+            self.verdict = Err(failure.to_owned());
+        }
+        self
+    }
+
+    fn fingerprint(mut self, fingerprint: Option<String>) -> Self {
+        self.fingerprint = fingerprint;
+        self
+    }
+}
+
+/// One registry row: what `repro` lists, describes and runs.
 #[derive(Debug, Clone, Copy)]
-pub struct CatalogEntry {
-    /// Experiment id as the `repro` binary accepts it (`e3`, `a1`, …).
+pub struct Experiment {
+    /// Id as the `repro` binary accepts it (`e3`, `a1`, `snap`, …).
     pub id: &'static str,
     /// One-line description.
     pub title: &'static str,
-    /// Estimated `--quick` runtime in seconds.
+    /// Estimated `--quick` runtime in seconds (release build, default jobs).
     pub quick_secs: f64,
     /// Estimated full (paper-scale) runtime in seconds.
     pub full_secs: f64,
@@ -3009,96 +3092,483 @@ pub struct CatalogEntry {
     /// through the lab's sharded parallel-in-run path). The CI smoke uses
     /// this to pick experiments to exercise with `--shards 2`.
     pub shardable: bool,
+    /// Runs the experiment.
+    pub run: fn(&Config) -> Artifact,
 }
 
-/// Every experiment the `repro` binary knows, with a one-line description
-/// and runtime estimates — drives `repro list` (and its `--json` mode,
-/// which the CI smoke uses to pick experiments) and the usage text.
-pub fn catalog() -> Vec<CatalogEntry> {
-    const fn e(
-        id: &'static str,
-        title: &'static str,
-        quick_secs: f64,
-        full_secs: f64,
-    ) -> CatalogEntry {
-        CatalogEntry {
-            id,
-            title,
-            quick_secs,
-            full_secs,
-            shardable: false,
-        }
+impl Experiment {
+    /// Whether `repro all` runs this entry. The numbered experiments
+    /// (E1–E30, A1–A4) do; the self-checks and tools run only when named.
+    pub fn in_all(&self) -> bool {
+        self.id[1..].parse::<u32>().is_ok()
     }
-    /// A shardable entry: the experiment's runs honor `--shards N`.
-    const fn sh(
-        id: &'static str,
-        title: &'static str,
-        quick_secs: f64,
-        full_secs: f64,
-    ) -> CatalogEntry {
-        CatalogEntry {
-            id,
-            title,
-            quick_secs,
-            full_secs,
-            shardable: true,
-        }
-    }
-    vec![
-        e("e1", "platform configuration table", 0.1, 0.1),
-        e("e2", "TeaStore services, profiles and request mix", 0.1, 0.1),
-        sh("e3", "throughput/latency vs closed-loop users (load curve)", 1.0, 30.0),
-        e("e4", "scale-up curve: throughput vs enabled logical CPUs + USL fit", 1.0, 45.0),
-        e("e5", "per-service busy CPUs vs load", 1.0, 30.0),
-        e("e6", "per-service scaling: replicate one tier at a time + USL", 2.0, 60.0),
-        e("e7", "replica tuning of the bottleneck service", 1.0, 30.0),
-        sh("e8", "placement-policy comparison at saturation (+22% headline)", 1.0, 30.0),
-        e("e9", "latency at matched open load (−18% headline)", 1.0, 20.0),
-        e("e10", "SMT on/off at equal core count vs a compute-bound contrast", 1.0, 20.0),
-        e("e11", "NUMA locality: local vs remote memory for the data tier", 1.0, 20.0),
-        e("e12", "µarch characterization vs reference workloads", 0.5, 5.0),
-        e("e13", "scheduler behaviour per placement policy", 1.0, 20.0),
-        e("e14", "opportunistic frequency boost extension", 1.0, 20.0),
-        e("e15", "simulator vs analytic MVA validation", 0.5, 10.0),
-        e("e16", "workload-mix sensitivity extension", 1.0, 30.0),
-        e("e17", "CPU-mask enumeration orders at a fixed CPU budget", 1.0, 30.0),
-        sh("e18", "slow-replica tail amplification + resilience (faults)", 1.0, 20.0),
-        e("e19", "crash and recovery under load (faults)", 1.0, 20.0),
-        sh("e20", "overload sweep: admission control vs unbounded queues", 3.0, 30.0),
-        sh("e21", "retry-storm metastability; retry budgets recover it", 3.0, 30.0),
-        sh("e22", "brownout: priority shedding keeps checkout goodput high", 2.0, 20.0),
-        sh("e23", "recovery hysteresis: queue-bound policy vs backlog drain", 3.0, 30.0),
-        e("e24", "population scale-up 1k→1M users: events/s and bytes/user", 5.0, 90.0),
-        e("e25", "trace memory vs fidelity: head-capped vs reservoir sampling", 2.0, 20.0),
-        e("e26", "mega-scale overload: admission sweep at 100k closed-loop users", 5.0, 45.0),
-        e("e27", "warm-started sweeps: one shared checkpoint serves a measurement grid", 2.0, 60.0),
-        sh("e28", "shard-count scaling: events/s and speedup vs shards (parallel-in-run)", 20.0, 600.0),
-        e("e29", "chaos sweep: sampled fault plans vs the mitigation grid", 30.0, 180.0),
-        e("e30", "window-policy sync cost: barriers/sim-s, rollbacks vs cross-traffic", 20.0, 300.0),
-        e("snap", "snapshot/resume identity self-check (writes results/snapshot_quick.bin)", 1.0, 15.0),
-        e("chaos", "fault-space search + shrink (writes results/chaos_report.json)", 30.0, 120.0),
-        e("lint", "static determinism & invariant pass (simlint)", 0.1, 0.1),
-        e("a1", "ablation: topology-aware packing objective", 1.0, 20.0),
-        e("a2", "ablation: load-balancer policy under pod placement", 1.0, 20.0),
-        e("a3", "ablation: idle-steal scope of the scheduler", 1.0, 20.0),
-        e("a4", "ablation: scheduler quantum vs tail latency", 1.0, 20.0),
-    ]
 }
 
-/// The catalog as machine-readable JSON (for `repro list --json`).
-pub fn catalog_json() -> String {
-    let mut out = String::from("[\n");
-    let entries = catalog();
-    for (i, e) in entries.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"id\": \"{}\", \"title\": \"{}\", \"quick_est_secs\": {:.1}, \"full_est_secs\": {:.1}, \"shardable\": {}}}",
-            e.id, e.title, e.quick_secs, e.full_secs, e.shardable
+/// The registry entry with this id.
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
+}
+
+/// Every experiment the `repro` binary knows, in catalog order. `repro`'s
+/// dispatch, `all`, `list`, `list --json` and usage text all come from
+/// here, and `tests/golden.rs` pins each entry's fingerprint.
+#[rustfmt::skip]
+pub static EXPERIMENTS: &[Experiment] = &[
+    Experiment { id: "e1", title: "platform configuration table",
+        quick_secs: 0.1, full_secs: 0.1, shardable: false, run: |c| Artifact::new(&e1(c)) },
+    Experiment { id: "e2", title: "TeaStore services, profiles and request mix",
+        quick_secs: 0.1, full_secs: 0.1, shardable: false, run: |c| Artifact::new(&e2(c)) },
+    Experiment { id: "e3", title: "throughput/latency vs closed-loop users (load curve)",
+        quick_secs: 1.0, full_secs: 30.0, shardable: true, run: show_e3 },
+    Experiment { id: "e4", title: "scale-up curve: throughput vs enabled logical CPUs + USL fit",
+        quick_secs: 1.0, full_secs: 45.0, shardable: false, run: show_e4 },
+    Experiment { id: "e5", title: "per-service busy CPUs vs load",
+        quick_secs: 1.0, full_secs: 30.0, shardable: false, run: |c| Artifact::new(&e5(c)) },
+    Experiment { id: "e6", title: "per-service scaling: replicate one tier at a time + USL",
+        quick_secs: 2.0, full_secs: 60.0, shardable: false, run: show_e6 },
+    Experiment { id: "e7", title: "replica tuning of the bottleneck service",
+        quick_secs: 1.0, full_secs: 30.0, shardable: false, run: |c| Artifact::new(&e7(c)) },
+    Experiment { id: "e8", title: "placement-policy comparison at saturation (+22% headline)",
+        quick_secs: 1.0, full_secs: 30.0, shardable: true, run: show_e8 },
+    Experiment { id: "e9", title: "latency at matched open load (−18% headline)",
+        quick_secs: 1.0, full_secs: 20.0, shardable: false,
+        run: |c| { let r = e9(c); Artifact::new(&r.table).csv("e9_latency.csv", csv_e9(&r)) } },
+    Experiment { id: "e10", title: "SMT on/off at equal core count vs a compute-bound contrast",
+        quick_secs: 1.0, full_secs: 20.0, shardable: false, run: |c| Artifact::new(&e10(c).table) },
+    Experiment { id: "e11", title: "NUMA locality: local vs remote memory for the data tier",
+        quick_secs: 1.0, full_secs: 20.0, shardable: false, run: |c| Artifact::new(&e11(c).table) },
+    Experiment { id: "e12", title: "µarch characterization vs reference workloads",
+        quick_secs: 0.5, full_secs: 5.0, shardable: false, run: |c| Artifact::new(&e12(c)) },
+    Experiment { id: "e13", title: "scheduler behaviour per placement policy",
+        quick_secs: 1.0, full_secs: 20.0, shardable: false, run: |c| Artifact::new(&e13(c)) },
+    Experiment { id: "e14", title: "opportunistic frequency boost extension",
+        quick_secs: 1.0, full_secs: 20.0, shardable: false, run: |c| Artifact::new(&e14(c)) },
+    Experiment { id: "e15", title: "simulator vs analytic MVA validation",
+        quick_secs: 0.5, full_secs: 10.0, shardable: false, run: show_e15 },
+    Experiment { id: "e16", title: "workload-mix sensitivity extension",
+        quick_secs: 1.0, full_secs: 30.0, shardable: false, run: |c| Artifact::new(&e16(c).table) },
+    Experiment { id: "e17", title: "CPU-mask enumeration orders at a fixed CPU budget",
+        quick_secs: 1.0, full_secs: 30.0, shardable: false, run: |c| Artifact::new(&e17(c)) },
+    Experiment { id: "e18", title: "slow-replica tail amplification + resilience (faults)",
+        quick_secs: 1.0, full_secs: 20.0, shardable: true, run: show_e18 },
+    Experiment { id: "e19", title: "crash and recovery under load (faults)",
+        quick_secs: 1.0, full_secs: 20.0, shardable: false, run: show_e19 },
+    Experiment { id: "e20", title: "overload sweep: admission control vs unbounded queues",
+        quick_secs: 3.0, full_secs: 30.0, shardable: true, run: show_e20 },
+    Experiment { id: "e21", title: "retry-storm metastability; retry budgets recover it",
+        quick_secs: 3.0, full_secs: 30.0, shardable: true, run: show_e21 },
+    Experiment { id: "e22", title: "brownout: priority shedding keeps checkout goodput high",
+        quick_secs: 2.0, full_secs: 20.0, shardable: true, run: show_e22 },
+    Experiment { id: "e23", title: "recovery hysteresis: queue-bound policy vs backlog drain",
+        quick_secs: 3.0, full_secs: 30.0, shardable: true, run: show_e23 },
+    Experiment { id: "e24", title: "population scale-up 1k→1M users: events/s and bytes/user",
+        quick_secs: 5.0, full_secs: 90.0, shardable: false, run: show_e24 },
+    Experiment { id: "e25", title: "trace memory vs fidelity: head-capped vs reservoir sampling",
+        quick_secs: 2.0, full_secs: 20.0, shardable: false,
+        run: |c| { let r = e25(c); Artifact::new(&r.table).csv("e25_trace_fidelity.csv", csv_e25(&r)) } },
+    Experiment { id: "e26", title: "mega-scale overload: admission sweep at 100k closed-loop users",
+        quick_secs: 5.0, full_secs: 45.0, shardable: false, run: show_e26 },
+    Experiment { id: "e27", title: "warm-started sweeps: one shared checkpoint serves a measurement grid",
+        quick_secs: 2.0, full_secs: 60.0, shardable: false, run: show_e27 },
+    Experiment { id: "e28", title: "shard-count scaling: events/s and speedup vs shards (parallel-in-run)",
+        quick_secs: 20.0, full_secs: 600.0, shardable: true, run: show_e28 },
+    Experiment { id: "e29", title: "chaos sweep: sampled fault plans vs the mitigation grid",
+        quick_secs: 30.0, full_secs: 180.0, shardable: false,
+        run: |c| { let r = e29(c); Artifact::new(&r.table).csv("e29_chaos_sweep.csv", csv_e29(&r)) } },
+    Experiment { id: "e30", title: "window-policy sync cost: barriers/sim-s, rollbacks vs cross-traffic",
+        quick_secs: 20.0, full_secs: 300.0, shardable: false, run: show_e30 },
+    Experiment { id: "snap", title: "snapshot/resume identity self-check (writes results/snapshot_quick.bin)",
+        quick_secs: 1.0, full_secs: 15.0, shardable: false, run: show_snap },
+    Experiment { id: "chaos", title: "fault-space search + shrink (writes results/chaos_report.json)",
+        quick_secs: 30.0, full_secs: 120.0, shardable: false, run: show_chaos },
+    Experiment { id: "lint", title: "static determinism & invariant pass (simlint)",
+        quick_secs: 0.1, full_secs: 0.1, shardable: false, run: show_lint },
+    Experiment { id: "a1", title: "ablation: topology-aware packing objective",
+        quick_secs: 1.0, full_secs: 20.0, shardable: false, run: |c| Artifact::new(&ablate_objective(c)) },
+    Experiment { id: "a2", title: "ablation: load-balancer policy under pod placement",
+        quick_secs: 1.0, full_secs: 20.0, shardable: false, run: |c| Artifact::new(&ablate_lb(c)) },
+    Experiment { id: "a3", title: "ablation: idle-steal scope of the scheduler",
+        quick_secs: 1.0, full_secs: 20.0, shardable: false, run: |c| Artifact::new(&ablate_balance(c)) },
+    Experiment { id: "a4", title: "ablation: scheduler quantum vs tail latency",
+        quick_secs: 1.0, full_secs: 20.0, shardable: false, run: |c| Artifact::new(&ablate_quantum(c)) },
+];
+
+// ------------------------------------------- experiment results as artifacts
+
+/// `(x, y)` points for a chart series.
+fn points<T>(rows: &[T], xy: impl Fn(&T) -> (f64, f64)) -> Vec<(f64, f64)> {
+    rows.iter().map(xy).collect()
+}
+
+fn show_e3(config: &Config) -> Artifact {
+    let r = e3(config);
+    let chart = LineChart::new("throughput vs closed-loop users", "users", "req/s").series(
+        "tuned baseline",
+        points(&r.points, |(u, rep)| (*u as f64, rep.throughput_rps)),
+    );
+    Artifact::new(&r.table)
+        .csv("e3_load_curve.csv", csv_e3(&r))
+        .chart("E3: load curve", chart)
+}
+
+fn show_e4(config: &Config) -> Artifact {
+    let r = e4(config);
+    let chart = LineChart::new("throughput vs enabled logical CPUs", "logical CPUs", "req/s")
+        .series("measured", points(&r.points, |p| (p.n as f64, p.throughput_rps)))
+        .series("USL fit", points(&r.points, |p| (p.n as f64, r.fit.predict(p.n as f64))));
+    Artifact::new(&r.table)
+        .csv("e4_scaleup.csv", csv_scale_points(&r.points))
+        .chart("E4: scale-up", chart)
+}
+
+fn show_e6(config: &Config) -> Artifact {
+    let r = e6(config);
+    let mut chart = LineChart::new("throughput vs replicas of one service", "replicas", "req/s");
+    for (name, scale, _) in &r.services {
+        chart = chart.series(name, points(scale, |p| (p.n as f64, p.throughput_rps)));
+    }
+    Artifact::new(&r.table)
+        .csv("e6_service_scaling.csv", csv_e6(&r))
+        .chart("E6: per-service scaling", chart)
+}
+
+fn show_e8(config: &Config) -> Artifact {
+    let r = e8(config);
+    let rows = r
+        .rows
+        .iter()
+        .zip(&r.throughput)
+        .map(|((name, rep), x)| {
+            vec![
+                name.clone(),
+                x.display(" req/s"),
+                rep.mean_latency.to_string(),
+                format!("{:.1}%", rep.cpu_utilization * 100.0),
+                format!("{:+.1}%", 100.0 * (x.mean / r.throughput[0].mean - 1.0)),
+            ]
+        })
+        .collect();
+    Artifact::new(&r.table).csv("e8_placement.csv", csv_e8(&r)).html_table(
+        "E8: placement policies (headline)",
+        &["policy", "throughput", "mean latency", "util", "vs baseline"],
+        rows,
+    )
+}
+
+fn show_e15(config: &Config) -> Artifact {
+    let r = e15(config);
+    let chart = LineChart::new("simulated vs predicted throughput", "users", "req/s")
+        .series("simulator", points(&r.points, |&(u, s, _)| (u as f64, s)))
+        .series("MVA", points(&r.points, |&(u, _, m)| (u as f64, m)));
+    Artifact::new(&r.table)
+        .csv("e15_mva.csv", csv_e15(&r))
+        .chart("E15: simulator vs analytic MVA", chart)
+}
+
+fn show_e18(config: &Config) -> Artifact {
+    let r = e18(config);
+    let rows = r
+        .rows
+        .iter()
+        .map(|(name, rep)| {
+            vec![
+                name.clone(),
+                format!("{:.0}", rep.throughput_rps),
+                rep.mean_latency.to_string(),
+                rep.latency_p99.to_string(),
+                rep.requests_timed_out.to_string(),
+                rep.requests_shed.to_string(),
+            ]
+        })
+        .collect();
+    Artifact::new(&r.table)
+        .csv("e18_slow_replica.csv", csv_fault_study(&r))
+        .html_table(
+            "E18: slow-replica tail amplification",
+            &["config", "req/s", "mean", "p99", "timed out", "shed"],
+            rows,
+        )
+}
+
+fn show_e19(config: &Config) -> Artifact {
+    let r = e19(config);
+    let mut chart = LineChart::new(
+        "throughput through a crash/restart of one replica",
+        "seconds since measurement start",
+        "req/s",
+    );
+    for (name, rep) in &r.rows {
+        chart = chart.series(name, rep.throughput_series.clone());
+    }
+    Artifact::new(&r.table)
+        .csv("e19_crash_recovery.csv", csv_e19_series(&r))
+        .chart("E19: crash and recovery", chart)
+}
+
+fn show_e20(config: &Config) -> Artifact {
+    let r = e20(config);
+    let x_label = "offered load (× capacity)";
+    let mut goodput = LineChart::new("goodput vs offered load (multiple of capacity)", x_label, "req/s");
+    let mut p99 = LineChart::new("p99 latency vs offered load", x_label, "p99 µs");
+    for (name, admitted) in [("unbounded", false), ("admission control", true)] {
+        let arm: Vec<(f64, &RunReport)> =
+            r.rows.iter().map(|(m, u, a)| (*m, if admitted { a } else { u })).collect();
+        goodput = goodput.series(name, points(&arm, |(m, rep)| (*m, rep.throughput_rps)));
+        p99 = p99.series(name, points(&arm, |(m, rep)| (*m, rep.latency_p99.as_micros_f64())));
+    }
+    Artifact::new(&r.table)
+        .csv("e20_overload_sweep.csv", csv_e20(&r))
+        .chart("E20: overload sweep — goodput", goodput)
+        .chart("E20: overload sweep — tail latency", p99)
+}
+
+/// Goodput and pending-queue depth through a transient, one series per arm.
+fn goodput_and_depth<'a>(
+    arms: impl Iterator<Item = (&'a String, &'a RunReport)>,
+    goodput_title: &str,
+    depth_title: &str,
+) -> (LineChart, LineChart) {
+    let x_label = "seconds since measurement start";
+    let mut goodput = LineChart::new(goodput_title, x_label, "req/s");
+    let mut depth = LineChart::new(depth_title, x_label, "queued jobs");
+    for (name, rep) in arms {
+        goodput = goodput.series(name, rep.throughput_series.clone());
+        depth = depth.series(name, rep.queue_depth_series.clone());
+    }
+    (goodput, depth)
+}
+
+fn show_e21(config: &Config) -> Artifact {
+    let r = e21(config);
+    let (goodput, depth) = goodput_and_depth(
+        r.rows.iter().map(|(name, rep)| (name, rep)),
+        "goodput through the retry storm",
+        "pending-queue depth through the retry storm",
+    );
+    let rows = r
+        .rows
+        .iter()
+        .map(|(name, rep)| {
+            vec![
+                name.clone(),
+                format!("{:.0}", rep.throughput_rps),
+                rep.requests_timed_out.to_string(),
+                rep.overload.budget_denied.to_string(),
+                rep.overload.total_sheds().to_string(),
+                rep.overload.deferred.to_string(),
+            ]
+        })
+        .collect();
+    Artifact::new(&r.table)
+        .csv("e21_metastability.csv", csv_e21_series(&r))
+        .chart("E21: retry-storm metastability — goodput", goodput)
+        .chart("E21: retry-storm metastability — queue depth", depth)
+        .html_table(
+            "E21: overload counters",
+            &["config", "goodput", "timed out", "budget-denied", "shed", "deferred"],
+            rows,
+        )
+}
+
+fn show_e22(config: &Config) -> Artifact {
+    let r = e22(config);
+    let mut chart = LineChart::new(
+        "per-class goodput under 1.6× overload (priority shedding)",
+        "seconds since measurement start",
+        "req/s",
+    );
+    let (arm, rep) = &r.rows[1];
+    for (class, series) in &rep.per_class_series {
+        chart = chart.series(&format!("{arm}: {class}"), series.clone());
+    }
+    let rows = r
+        .class_goodput
+        .iter()
+        .flat_map(|(arm, classes)| {
+            classes.iter().map(move |(class, submitted, failed, goodput)| {
+                vec![
+                    arm.clone(),
+                    class.clone(),
+                    submitted.to_string(),
+                    failed.to_string(),
+                    format!("{:.1}%", goodput * 100.0),
+                ]
+            })
+        })
+        .collect();
+    Artifact::new(&r.table)
+        .csv("e22_brownout.csv", csv_e22(&r))
+        .chart("E22: brownout — per-class goodput", chart)
+        .html_table(
+            "E22: per-class goodput",
+            &["config", "class", "submitted", "shed", "goodput"],
+            rows,
+        )
+}
+
+fn show_e23(config: &Config) -> Artifact {
+    let r = e23(config);
+    let (goodput, depth) = goodput_and_depth(
+        r.rows.iter().map(|(name, rep, _)| (name, rep)),
+        "goodput through a 1s slowdown burst",
+        "pending-queue depth through the burst",
+    );
+    Artifact::new(&r.table)
+        .csv("e23_recovery.csv", csv_e23(&r))
+        .chart("E23: recovery hysteresis — goodput", goodput)
+        .chart("E23: recovery hysteresis — queue depth", depth)
+}
+
+fn show_e24(config: &Config) -> Artifact {
+    let r = e24(config);
+    let bytes = LineChart::new("engine + generator bytes per closed-loop user", "users", "B/user")
+        .series("bytes/user", points(&r.rows, |p| (p.users as f64, p.bytes_per_user)));
+    let speed = LineChart::new("calendar events per host wall-clock second", "users", "events/s")
+        .series("events/s", points(&r.rows, |p| (p.users as f64, p.events_per_sec)));
+    // The table embeds wall-clock events/s; pin the simulated row fields.
+    let rows: Vec<_> = r
+        .rows
+        .iter()
+        .map(|p| {
+            (
+                p.users,
+                p.report.completed,
+                p.report.latency_p99,
+                p.report.events_processed,
+                p.bytes_per_user.to_bits(),
+            )
+        })
+        .collect();
+    Artifact::new(&r.table)
+        .csv("e24_population_scaleup.csv", csv_e24(&r))
+        .chart("E24: population scale-up — per-user memory", bytes)
+        .chart("E24: population scale-up — simulator speed", speed)
+        .fingerprint(Some(format!("{rows:?}")))
+}
+
+fn show_e26(config: &Config) -> Artifact {
+    let r = e26(config);
+    let mut p99 = LineChart::new(
+        "p99 latency vs offered load (100k closed-loop users)",
+        "offered load (× capacity)",
+        "p99 µs",
+    );
+    for (name, admitted) in [("unbounded", false), ("admission control", true)] {
+        p99 = p99.series(name, points(&r.rows, |(m, u, a)| {
+            (*m, (if admitted { a } else { u }).latency_p99.as_micros_f64())
+        }));
+    }
+    Artifact::new(&r.table)
+        .csv("e26_mega_overload.csv", csv_e26(&r))
+        .chart("E26: mega-scale overload — tail latency", p99)
+}
+
+fn show_e27(config: &Config) -> Artifact {
+    let r = e27(config);
+    // The table embeds wall-clock seconds; pin the cell fingerprints the
+    // cold-vs-warm check compares, plus its verdict.
+    let cells = [warm_grid_fingerprint(&r.cold), warm_grid_fingerprint(&r.warm)].concat();
+    Artifact::new(&r.table)
+        .csv("e27_warm_start.csv", csv_e27(&r))
+        .check(r.identical, "e27 FAILED: warm-started grid diverged from the cold run")
+        .fingerprint(Some(format!("{cells:?} {}", r.identical)))
+}
+
+fn show_e28(config: &Config) -> Artifact {
+    let r = e28(config);
+    let mut eps = LineChart::new("event rate vs shard count", "shards", "events/s");
+    let mut speedup =
+        LineChart::new("speedup over the 1-shard arm vs shard count", "shards", "speedup");
+    let mut populations: Vec<u64> = r.rows.iter().map(|p| p.users).collect();
+    populations.dedup();
+    for users in populations {
+        let arm: Vec<&ShardScalePoint> = r.rows.iter().filter(|p| p.users == users).collect();
+        let name = format!("{users} users");
+        eps = eps.series(&name, points(&arm, |p| (f64::from(p.shards), p.events_per_sec)));
+        speedup = speedup.series(&name, points(&arm, |p| (f64::from(p.shards), p.speedup)));
+    }
+    // The simulated columns only: events/s and speedup are host measurements.
+    let mut fingerprint = String::from("    users  shards      req/s       events\n");
+    for p in &r.rows {
+        let _ = writeln!(
+            fingerprint,
+            "{:>9} {:>7} {:>10.0} {:>12}",
+            p.users, p.shards, p.report.throughput_rps, p.report.events_processed,
         );
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
     }
-    out.push_str("]\n");
-    out
+    Artifact::new(&r.table)
+        .csv("e28_shard_scaling.csv", csv_e28(&r))
+        .chart("E28: shard-count scaling — event rate", eps)
+        .chart("E28: shard-count scaling — speedup", speedup)
+        .fingerprint(Some(fingerprint))
+}
+
+fn show_e30(config: &Config) -> Artifact {
+    let r = e30(config);
+    let mut barriers = LineChart::new(
+        "barrier crossings per simulated second vs cross-traffic rate",
+        "cross-cell traffic (permille)",
+        "barriers/sim-s",
+    );
+    for policy in ["conservative", "adaptive", "speculative"] {
+        let arm: Vec<&PolicyPoint> = r.rows.iter().filter(|p| p.policy == policy).collect();
+        barriers = barriers.series(
+            policy,
+            points(&arm, |p| (f64::from(p.cross_permille), p.barriers_per_sim_sec)),
+        );
+    }
+    // The simulated columns only: Mev/s is a host measurement.
+    let mut fingerprint = String::from(
+        " cross‰  policy             req/s       events    rounds   barriers  rollbacks   replayed\n",
+    );
+    for p in &r.rows {
+        let _ = writeln!(
+            fingerprint,
+            "{:>6}  {:<14} {:>9.0} {:>12} {:>9} {:>10} {:>10} {:>10}",
+            p.cross_permille,
+            p.policy,
+            p.report.throughput_rps,
+            p.report.events_processed,
+            p.stats.rounds,
+            p.stats.barriers,
+            p.stats.rollbacks,
+            p.stats.replayed_events,
+        );
+    }
+    let _ = writeln!(
+        fingerprint,
+        "reports across policies: {}",
+        if r.identical { "identical" } else { "DIVERGED" },
+    );
+    Artifact::new(&r.table)
+        .csv("e30_window_policies.csv", csv_e30(&r))
+        .chart("E30: window-policy sync cost", barriers)
+        .check(r.identical, "e30 FAILED: window policies produced diverging reports")
+        .fingerprint(Some(fingerprint))
+}
+
+fn show_snap(config: &Config) -> Artifact {
+    match snap_check(config) {
+        Ok((table, bytes)) => Artifact::new(&table).result("snapshot_quick.bin", bytes),
+        Err(msg) => Artifact::new(&msg).check(false, "repro snap FAILED"),
+    }
+}
+
+fn show_chaos(config: &Config) -> Artifact {
+    let r = chaos_search(config);
+    Artifact::new(&r.table).result("chaos_report.json", r.report.to_json().into_bytes())
+}
+
+/// Same engine as `cargo run -p simlint` and the tier-1 gate in
+/// `tests/simlint.rs` (see DESIGN.md "Static analysis"). Its findings
+/// describe the source tree, not a simulation, so there is no fingerprint.
+fn show_lint(_: &Config) -> Artifact {
+    let cwd = std::env::current_dir().unwrap_or_else(|_| ".".into());
+    let report = simlint::lint_workspace(&simlint::find_root(&cwd));
+    let clean = report.gating_count() == 0 && report.stale_baseline.is_empty();
+    Artifact::new(&simlint::render_text(&report))
+        .check(clean, "repro lint FAILED")
+        .fingerprint(None)
 }
 
 // -------------------------------------------------------------- CSV export
@@ -3644,13 +4114,6 @@ pub fn ablate_quantum(config: &Config) -> String {
     out
 }
 
-/// Topology sanity used by the `repro` binary's `check` subcommand: the
-/// headline gap, quickly, on the full machine with a short window.
-pub fn headline_check(seed: u64) -> PlacementComparison {
-    let config = Config::paper(seed);
-    e8(&config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3784,16 +4247,18 @@ mod tests {
 
     #[test]
     fn catalog_covers_every_runnable_experiment() {
-        let names: Vec<&str> = catalog().iter().map(|e| e.id).collect();
-        for e in 1..=30 {
-            assert!(names.contains(&format!("e{e}").as_str()), "missing e{e}");
-        }
-        for a in 1..=4 {
-            assert!(names.contains(&format!("a{a}").as_str()), "missing a{a}");
-        }
-        for extra in ["lint", "snap", "chaos"] {
-            assert!(names.contains(&extra), "missing {extra}");
-        }
+        // `repro all` is E1–E30 then A1–A4, in that order.
+        let numbered: Vec<String> = (1..=30)
+            .map(|e| format!("e{e}"))
+            .chain((1..=4).map(|a| format!("a{a}")))
+            .collect();
+        let all: Vec<&str> = EXPERIMENTS.iter().filter(|e| e.in_all()).map(|e| e.id).collect();
+        assert_eq!(all, numbered);
+        // Plus the three self-checks run only by name, no id twice.
+        let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), numbered.len() + 3);
     }
 
     #[test]

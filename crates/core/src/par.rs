@@ -14,9 +14,12 @@
 //! byte-identical reports to `--jobs 1`.
 //!
 //! The worker count comes from [`set_jobs`] (the `repro --jobs N` flag);
-//! the default is the machine's available parallelism. `jobs <= 1` runs the
-//! closure inline on the caller's thread with no pool at all.
+//! the default is the machine's available parallelism. [`with_jobs`] pins
+//! it for one thread instead, so sweeps at different worker counts can run
+//! side by side in one process. `jobs <= 1` runs the closure inline on the
+//! caller's thread with no pool at all.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -29,14 +32,30 @@ pub fn set_jobs(n: usize) {
     JOBS.store(n, Ordering::SeqCst);
 }
 
-/// The effective worker count: [`set_jobs`] if set, else the machine's
-/// available parallelism (1 if that cannot be determined).
+thread_local! {
+    /// Worker count pinned by [`with_jobs`] on this thread; 0 means "none".
+    static PINNED_JOBS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Runs `f` with the worker count pinned to `n` on the calling thread,
+/// overriding [`set_jobs`]. The pin follows the sweep onto its pool
+/// workers, so nested [`map`] calls see it too.
+pub fn with_jobs<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    let outer = PINNED_JOBS.replace(n.max(1));
+    let out = f();
+    PINNED_JOBS.set(outer);
+    out
+}
+
+/// The effective worker count: [`with_jobs`] if pinned, else [`set_jobs`]
+/// if set, else the machine's available parallelism (1 if that cannot be
+/// determined).
 pub fn jobs() -> usize {
-    match JOBS.load(Ordering::SeqCst) {
-        0 => std::thread::available_parallelism()
+    match (PINNED_JOBS.get(), JOBS.load(Ordering::SeqCst)) {
+        (0, 0) => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
-        n => n,
+        (0, n) | (n, _) => n,
     }
 }
 
@@ -71,25 +90,29 @@ where
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let results = &results;
     let f = &f;
+    let pinned = PINNED_JOBS.get();
     std::thread::scope(|scope| {
         for w in 0..workers {
-            scope.spawn(move || loop {
-                let mut task = queues[w].lock().expect("queue lock").pop_front();
-                if task.is_none() {
-                    // Own deque dry: steal the oldest item of a neighbour.
-                    for off in 1..workers {
-                        let victim = (w + off) % workers;
-                        task = queues[victim].lock().expect("queue lock").pop_back();
-                        if task.is_some() {
-                            break;
+            scope.spawn(move || {
+                PINNED_JOBS.set(pinned);
+                loop {
+                    let mut task = queues[w].lock().expect("queue lock").pop_front();
+                    if task.is_none() {
+                        // Own deque dry: steal the oldest item of a neighbour.
+                        for off in 1..workers {
+                            let victim = (w + off) % workers;
+                            task = queues[victim].lock().expect("queue lock").pop_back();
+                            if task.is_some() {
+                                break;
+                            }
                         }
                     }
-                }
-                match task {
-                    Some((i, item)) => {
-                        *results[i].lock().expect("result lock") = Some(f(item));
+                    match task {
+                        Some((i, item)) => {
+                            *results[i].lock().expect("result lock") = Some(f(item));
+                        }
+                        None => break,
                     }
-                    None => break,
                 }
             });
         }
@@ -137,6 +160,15 @@ mod tests {
         let par = map((0..64).collect(), work);
         set_jobs(0);
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn pinned_jobs_override_the_global_and_reach_nested_sweeps() {
+        let nested = |_: u32| map(vec![0u8; 4], |_| jobs());
+        let one = with_jobs(1, || map(vec![0u32; 4], nested));
+        let three = with_jobs(3, || map(vec![0u32; 4], nested));
+        assert!(one.iter().flatten().all(|&n| n == 1), "{one:?}");
+        assert!(three.iter().flatten().all(|&n| n == 3), "{three:?}");
     }
 
     #[test]

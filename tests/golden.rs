@@ -1,25 +1,69 @@
-//! Golden-output tests for the hot-path overhaul: the timer wheel, the
-//! slab-recycled request path, the memoized CPI model, and the parallel
-//! sweep runner must all be invisible in the reports.
+//! Golden-output battery over the experiment registry.
 //!
-//! Two guarantees:
-//! 1. The quick-config E3/E8 tables hash to recorded values — any change to
-//!    the simulation's arithmetic or event ordering trips these.
-//! 2. Running a sweep with 1 worker and with 8 workers yields byte-identical
-//!    tables — the work-stealing pool only changes *when* a point runs, the
-//!    merge order is the sweep order.
+//! Every entry of `scaleup_bench::experiments::EXPERIMENTS` runs on the
+//! quick configuration (seed 42) at `--jobs 1` and at `--jobs 8`. The two
+//! runs must produce the same fingerprint, and it must hash to the value
+//! recorded in [`GOLDEN`]. A hash catches any change to the simulation's
+//! arithmetic or event ordering; the jobs check catches nondeterminism in
+//! the work-stealing sweep pool, which may only change *when* a point runs.
 //!
-//! The fault (E18/E19) and overload (E20/E21) experiments are pinned the
-//! same way: hashes catch drift from the overload-control machinery, the
-//! jobs test catches any nondeterminism in their sweeps. E27 (warm-start
-//! grid, wall-clock-free cell fingerprints) and E29 (chaos sweep) extend
-//! the battery over the checkpoint/branch and chaos-search layers.
+//! A fingerprint is the experiment's text table, except where the table
+//! embeds host measurements: E24, E27, E28 and E30 pin their simulated
+//! columns instead. `lint` is the one unpinned entry, since it reports on
+//! the source tree rather than a simulation.
+//!
+//! Every (entry, leg) run is cached, so the per-family tests kept from
+//! before the registry share runs with the full loop instead of repeating
+//! them. Adding an experiment means one registry row plus one line here.
+//! When a hash moves on purpose, the failure message prints the new value
+//! and the fingerprint it came from; re-record it with the reason in the
+//! commit.
 
-use scaleup_bench::{experiments as exp, Config};
-use std::sync::Mutex;
+use scaleup_bench::experiments::{find, EXPERIMENTS};
+use scaleup_bench::Config;
+use std::sync::OnceLock;
 
-/// Serializes tests that touch the global `scaleup::par` worker count.
-static JOBS_LOCK: Mutex<()> = Mutex::new(());
+/// `(registry id, FNV-1a of its quick-config fingerprint)`, in registry
+/// order. E3, E8, E18–E24, E27 and E29 keep the values recorded when their
+/// layers landed; the rest were recorded when every entry got one.
+const GOLDEN: &[(&str, u64)] = &[
+    ("e1", 0x0ec9_7891_7bec_3986),
+    ("e2", 0xdf83_5379_b4a3_b02d),
+    ("e3", 0xb1ff_8356_b91c_cc85),
+    ("e4", 0xcd2c_0b0b_7cfd_ece1),
+    ("e5", 0x4790_1c2a_8551_926a),
+    ("e6", 0xf5c7_e77a_c830_b2e6),
+    ("e7", 0xbee1_2887_80de_623c),
+    ("e8", 0x623d_25c1_8fc8_4803),
+    ("e9", 0xcc90_7421_173c_7f15),
+    ("e10", 0x4374_a4bb_3667_1ade),
+    ("e11", 0x1501_9b05_73aa_54dd),
+    ("e12", 0x59ba_b5bc_f306_6d15),
+    ("e13", 0xa951_49d7_c587_679b),
+    ("e14", 0x4bb9_eb03_5a24_5fdf),
+    ("e15", 0xca3a_b7bc_8eb6_9388),
+    ("e16", 0x2451_7cae_4a12_898e),
+    ("e17", 0x0fce_669c_0ed4_fe31),
+    ("e18", 0x6abd_466c_8432_14c5),
+    ("e19", 0x6dfe_8d00_0099_bf2a),
+    ("e20", 0x1c11_6acc_3d76_c5a7),
+    ("e21", 0x21a6_7f22_ffd7_14b2),
+    ("e22", 0xe9d7_52fe_b2b9_97d3),
+    ("e23", 0x20c7_735a_8ca3_4ed1),
+    ("e24", 0xec38_ee81_44b2_12ed),
+    ("e25", 0x1e0a_24fa_5a80_e943),
+    ("e26", 0x7f3e_9f38_8cf8_0945),
+    ("e27", 0x6d4b_c8f4_dd5d_30a9),
+    ("e28", 0x2541_f7c8_add9_b88d),
+    ("e29", 0x674d_2227_498a_d819),
+    ("e30", 0x0aad_ff47_fd0e_f198),
+    ("snap", 0xfa84_1743_d7b8_2407),
+    ("chaos", 0xb78d_ea27_7ad2_39e7),
+    ("a1", 0x9959_43d2_c0ed_d43b),
+    ("a2", 0xfe71_b08c_eee7_0907),
+    ("a3", 0x727a_eb13_d04c_907e),
+    ("a4", 0xdba5_5da7_5fa7_238b),
+];
 
 /// FNV-1a, 64-bit: tiny, dependency-free, and stable across platforms.
 fn fnv1a(s: &str) -> u64 {
@@ -31,269 +75,124 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// The fingerprint of `id` on the quick config with the sweep pool pinned
+/// to `jobs` (1 or 8) workers. Each (entry, leg) runs once per process and
+/// is shared by every test that checks it.
+fn fingerprint(id: &str, jobs: usize) -> &'static str {
+    static CACHE: OnceLock<Vec<[OnceLock<String>; 2]>> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| GOLDEN.iter().map(|_| Default::default()).collect());
+    let row = GOLDEN
+        .iter()
+        .position(|(g, _)| *g == id)
+        .unwrap_or_else(|| panic!("{id} has no golden hash"));
+    let leg = match jobs {
+        1 => 0,
+        8 => 1,
+        _ => panic!("only the --jobs 1 and --jobs 8 legs are cached"),
+    };
+    cache[row][leg].get_or_init(|| {
+        scaleup::par::with_jobs(jobs, || {
+            let e = find(id).unwrap_or_else(|| panic!("{id} is not in the registry"));
+            (e.run)(&Config::quick(42))
+                .fingerprint
+                .unwrap_or_else(|| panic!("{id} has no fingerprint"))
+        })
+    })
+}
+
+/// Runs `ids` at `--jobs 1` and `--jobs 8`, asserts the legs agree and
+/// that each fingerprint hashes to its [`GOLDEN`] value.
+fn check(ids: &[&str]) {
+    // The legs run side by side; each pins its own worker count.
+    let (seq, par) = std::thread::scope(|s| {
+        let seq = s.spawn(|| ids.iter().map(|id| fingerprint(id, 1)).collect::<Vec<_>>());
+        let par: Vec<_> = ids.iter().map(|id| fingerprint(id, 8)).collect();
+        (seq.join().expect("the --jobs 1 leg panicked"), par)
+    });
+    let mut drifted = Vec::new();
+    for ((id, seq), par) in ids.iter().zip(&seq).zip(&par) {
+        assert_eq!(seq, par, "{id} differs between --jobs 1 and --jobs 8");
+        let golden = GOLDEN.iter().find(|(g, _)| g == id).map(|(_, h)| *h);
+        let hash = fnv1a(seq);
+        if Some(hash) != golden {
+            drifted.push(format!("(\"{id}\", {hash:#018x}), was {golden:#018x?}:\n{seq}"));
+        }
+    }
+    assert!(drifted.is_empty(), "fingerprints drifted:\n{}", drifted.join("\n"));
+}
+
+#[test]
+fn every_experiment_matches_its_golden_hash_at_jobs_1_and_8() {
+    let ids: Vec<&str> = GOLDEN.iter().map(|(id, _)| *id).collect();
+    check(&ids);
+}
+
+// The families below had tests of their own before the registry existed;
+// they keep their names and check the same entries through the cache.
+
 #[test]
 fn e3_e8_quick_tables_match_golden_hashes() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = Config::quick(42);
-    let e3 = exp::e3(&config).table;
-    let e8 = exp::e8(&config).table;
-    // Recorded from the pre-overhaul seed (verified byte-identical across
-    // the BinaryHeap->wheel, alloc->slab, and sequential->parallel changes).
-    assert_eq!(
-        fnv1a(&e3),
-        0xb1ff_8356_b91c_cc85,
-        "E3 quick table drifted; new hash {:#018x}, table:\n{e3}",
-        fnv1a(&e3)
-    );
-    assert_eq!(
-        fnv1a(&e8),
-        0x623d_25c1_8fc8_4803,
-        "E8 quick table drifted; new hash {:#018x}, table:\n{e8}",
-        fnv1a(&e8)
-    );
-}
-
-#[test]
-fn e18_e19_quick_tables_match_golden_hashes() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = Config::quick(42);
-    let e18 = exp::e18(&config).table;
-    let e19 = exp::e19(&config).table;
-    // Recorded when the overload-control layer landed: the fault-injection
-    // experiments must not shift when admission/budget/limiter code is
-    // present but unconfigured.
-    assert_eq!(
-        fnv1a(&e18),
-        0x6abd_466c_8432_14c5,
-        "E18 quick table drifted; new hash {:#018x}, table:\n{e18}",
-        fnv1a(&e18)
-    );
-    assert_eq!(
-        fnv1a(&e19),
-        0x6dfe_8d00_0099_bf2a,
-        "E19 quick table drifted; new hash {:#018x}, table:\n{e19}",
-        fnv1a(&e19)
-    );
-}
-
-#[test]
-fn e22_e23_quick_tables_match_golden_hashes() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = Config::quick(42);
-    let e22 = exp::e22(&config).table;
-    let e23 = exp::e23(&config).table;
-    // Recorded when the mega-scale layer landed: the brownout and recovery
-    // studies must not shift when the compact slabs, streaming series, and
-    // reservoir tracer are present but unconfigured.
-    assert_eq!(
-        fnv1a(&e22),
-        0xe9d7_52fe_b2b9_97d3,
-        "E22 quick table drifted; new hash {:#018x}, table:\n{e22}",
-        fnv1a(&e22)
-    );
-    assert_eq!(
-        fnv1a(&e23),
-        0x20c7_735a_8ca3_4ed1,
-        "E23 quick table drifted; new hash {:#018x}, table:\n{e23}",
-        fnv1a(&e23)
-    );
-}
-
-#[test]
-fn e20_e21_quick_tables_match_golden_hashes() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = Config::quick(42);
-    let e20 = exp::e20(&config).table;
-    let e21 = exp::e21(&config).table;
-    // Recorded when the checkpoint/branch layer landed: the overload sweeps
-    // must not shift when the snapshot registry is present but unused.
-    assert_eq!(
-        fnv1a(&e20),
-        0x1c11_6acc_3d76_c5a7,
-        "E20 quick table drifted; new hash {:#018x}, table:\n{e20}",
-        fnv1a(&e20)
-    );
-    assert_eq!(
-        fnv1a(&e21),
-        0x21a6_7f22_ffd7_14b2,
-        "E21 quick table drifted; new hash {:#018x}, table:\n{e21}",
-        fnv1a(&e21)
-    );
-}
-
-#[test]
-fn e24_quick_rows_match_golden_hash() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = Config::quick(42);
-    // E24's rendered table embeds wall-clock events/s, so pin the
-    // simulation-derived row fields instead of the table text.
-    let rows: Vec<_> = exp::e24(&config)
-        .rows
-        .iter()
-        .map(|p| {
-            (
-                p.users,
-                p.report.completed,
-                p.report.latency_p99,
-                p.report.events_processed,
-                p.bytes_per_user.to_bits(),
-            )
-        })
-        .collect();
-    let rendered = format!("{rows:?}");
-    assert_eq!(
-        fnv1a(&rendered),
-        0xec38_ee81_44b2_12ed,
-        "E24 quick rows drifted; new hash {:#018x}, rows:\n{rendered}",
-        fnv1a(&rendered)
-    );
-}
-
-#[test]
-fn mega_experiments_are_deterministic_at_any_worker_count() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = Config::quick(42);
-    // E24's table embeds wall-clock events/s, so compare the deterministic
-    // row fields; the E25/E26 tables carry only simulation-derived values
-    // and must match byte for byte.
-    let snapshot = || {
-        let e24: Vec<_> = exp::e24(&config)
-            .rows
-            .iter()
-            .map(|p| {
-                (
-                    p.users,
-                    p.report.completed,
-                    p.report.latency_p99,
-                    p.report.events_processed,
-                    p.bytes_per_user.to_bits(),
-                )
-            })
-            .collect();
-        (e24, exp::e25(&config).table, exp::e26(&config).table)
-    };
-    scaleup::par::set_jobs(1);
-    let seq = snapshot();
-    scaleup::par::set_jobs(8);
-    let par = snapshot();
-    scaleup::par::set_jobs(0); // restore auto
-    assert_eq!(seq.0, par.0, "E24 differs between --jobs 1 and --jobs 8");
-    assert_eq!(seq.1, par.1, "E25 differs between --jobs 1 and --jobs 8");
-    assert_eq!(seq.2, par.2, "E26 differs between --jobs 1 and --jobs 8");
-}
-
-#[test]
-fn overload_experiments_are_byte_identical_at_any_worker_count() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = Config::quick(42);
-    scaleup::par::set_jobs(1);
-    let seq = (exp::e20(&config).table, exp::e21(&config).table);
-    scaleup::par::set_jobs(8);
-    let par = (exp::e20(&config).table, exp::e21(&config).table);
-    scaleup::par::set_jobs(0); // restore auto
-    assert_eq!(seq.0, par.0, "E20 differs between --jobs 1 and --jobs 8");
-    assert_eq!(seq.1, par.1, "E21 differs between --jobs 1 and --jobs 8");
-}
-
-#[test]
-fn enumeration_orders_are_byte_identical_at_any_worker_count() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = Config::quick(42);
-    // E17 sweeps the five CPU-mask enumeration orders under par::map and
-    // counts distinct cores per mask — the path the D1 migration moved off
-    // std HashSet (cputopo enumeration + sorted dedup). Loadgen's wake
-    // buckets ride the same guarantee via the E24 leg above.
-    scaleup::par::set_jobs(1);
-    let seq = exp::e17(&config);
-    scaleup::par::set_jobs(8);
-    let par = exp::e17(&config);
-    scaleup::par::set_jobs(0); // restore auto
-    assert_eq!(seq, par, "E17 differs between --jobs 1 and --jobs 8");
+    check(&["e3", "e8"]);
 }
 
 #[test]
 fn sweeps_are_byte_identical_at_any_worker_count() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = Config::quick(42);
-    scaleup::par::set_jobs(1);
-    let seq = (exp::e3(&config).table, exp::e8(&config).table);
-    scaleup::par::set_jobs(8);
-    let par = (exp::e3(&config).table, exp::e8(&config).table);
-    scaleup::par::set_jobs(0); // restore auto
-    assert_eq!(seq.0, par.0, "E3 differs between --jobs 1 and --jobs 8");
-    assert_eq!(seq.1, par.1, "E8 differs between --jobs 1 and --jobs 8");
+    check(&["e3", "e8"]);
+}
+
+#[test]
+fn enumeration_orders_are_byte_identical_at_any_worker_count() {
+    check(&["e17"]);
+}
+
+#[test]
+fn e18_e19_quick_tables_match_golden_hashes() {
+    check(&["e18", "e19"]);
+}
+
+#[test]
+fn e20_e21_quick_tables_match_golden_hashes() {
+    check(&["e20", "e21"]);
+}
+
+#[test]
+fn overload_experiments_are_byte_identical_at_any_worker_count() {
+    check(&["e20", "e21"]);
+}
+
+#[test]
+fn e22_e23_quick_tables_match_golden_hashes() {
+    check(&["e22", "e23"]);
+}
+
+#[test]
+fn e24_quick_rows_match_golden_hash() {
+    check(&["e24"]);
+}
+
+#[test]
+fn mega_experiments_are_deterministic_at_any_worker_count() {
+    check(&["e24", "e25", "e26"]);
 }
 
 #[test]
 fn e27_e29_quick_outputs_match_golden_hashes() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = Config::quick(42);
-    // E27's rendered table embeds wall-clock seconds, so pin the
-    // simulation-derived cell fingerprint (same fields the experiment's own
-    // cold-vs-warm check compares) plus the `identical` verdict. E29's
-    // table carries only seed-derived values and hashes directly.
-    let e27 = exp::e27(&config);
-    let cells: Vec<_> = e27
-        .cold
-        .iter()
-        .chain(e27.warm.iter())
-        .map(|(users, extent, r)| {
-            (
-                *users,
-                extent.as_nanos(),
-                r.completed,
-                r.events_processed,
-                r.throughput_rps.to_bits(),
-            )
-        })
-        .collect();
-    let rendered = format!("{cells:?} {}", e27.identical);
-    assert_eq!(
-        fnv1a(&rendered),
-        0x6d4b_c8f4_dd5d_30a9,
-        "E27 quick fingerprint drifted; new hash {:#018x}, cells:\n{rendered}",
-        fnv1a(&rendered)
-    );
-    let e29 = exp::e29(&config).table;
-    assert_eq!(
-        fnv1a(&e29),
-        0x674d_2227_498a_d819,
-        "E29 quick table drifted; new hash {:#018x}, table:\n{e29}",
-        fnv1a(&e29)
-    );
+    check(&["e27", "e29"]);
 }
 
 #[test]
 fn warm_start_and_chaos_are_deterministic_at_any_worker_count() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = Config::quick(42);
-    // E27 compares the wall-clock-free cell fingerprints; E29's table must
-    // match byte for byte (the chaos search fans probes across the pool but
-    // merges findings in plan order).
-    let snapshot = || {
-        let e27 = exp::e27(&config);
-        let cells: Vec<_> = e27
-            .cold
-            .iter()
-            .chain(e27.warm.iter())
-            .map(|(users, extent, r)| {
-                (
-                    *users,
-                    extent.as_nanos(),
-                    r.completed,
-                    r.events_processed,
-                    r.throughput_rps.to_bits(),
-                )
-            })
-            .collect();
-        (cells, e27.identical, exp::e29(&config).table)
-    };
-    scaleup::par::set_jobs(1);
-    let seq = snapshot();
-    scaleup::par::set_jobs(8);
-    let par = snapshot();
-    scaleup::par::set_jobs(0); // restore auto
-    assert_eq!(seq.0, par.0, "E27 differs between --jobs 1 and --jobs 8");
-    assert_eq!(seq.1, par.1, "E27 verdict differs between --jobs 1 and --jobs 8");
-    assert_eq!(seq.2, par.2, "E29 differs between --jobs 1 and --jobs 8");
+    check(&["e27", "e29"]);
+}
+
+#[test]
+fn goldens_cover_the_registry_and_only_lint_is_unpinned() {
+    let pinned: Vec<&str> = GOLDEN.iter().map(|(id, _)| *id).collect();
+    let registry: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).filter(|&id| id != "lint").collect();
+    assert_eq!(pinned, registry, "every registry entry but lint needs a golden hash");
+    let lint = find("lint").expect("lint is registered");
+    assert!(
+        (lint.run)(&Config::quick(42)).fingerprint.is_none(),
+        "lint output depends on the source tree and must stay unpinned"
+    );
 }
