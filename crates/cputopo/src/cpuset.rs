@@ -140,9 +140,9 @@ impl CpuSet {
     /// Iterates CPUs in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
-            set: self,
-            word: 0,
-            bits: self.words.first().copied().unwrap_or(0),
+            words: self.words.iter(),
+            base: 0u32.wrapping_sub(64),
+            bits: 0,
         }
     }
 }
@@ -150,8 +150,11 @@ impl CpuSet {
 /// Iterator over the CPUs of a [`CpuSet`] in ascending order.
 #[derive(Debug)]
 pub struct Iter<'a> {
-    set: &'a CpuSet,
-    word: usize,
+    /// Words not yet loaded into `bits`.
+    words: std::slice::Iter<'a, u64>,
+    /// CPU id of bit 0 of `bits` (wraps to 0 on the first load).
+    base: u32,
+    /// Unvisited CPUs of the current word.
     bits: u64,
 }
 
@@ -159,17 +162,40 @@ impl Iterator for Iter<'_> {
     type Item = CpuId;
 
     fn next(&mut self) -> Option<CpuId> {
+        while self.bits == 0 {
+            self.bits = *self.words.next()?;
+            self.base = self.base.wrapping_add(64);
+        }
+        let b = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        Some(CpuId(self.base + b))
+    }
+
+    /// Word-at-a-time internal iteration: `for_each`, `sum`, `extend` and
+    /// friends skip the per-item word refill check of [`Iter::next`].
+    fn fold<B, F: FnMut(B, CpuId) -> B>(self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        let (mut base, mut bits) = (self.base, self.bits);
+        let mut words = self.words;
         loop {
-            if self.bits != 0 {
-                let b = self.bits.trailing_zeros();
-                self.bits &= self.bits - 1;
-                return Some(CpuId((self.word * 64) as u32 + b));
+            if bits == u64::MAX {
+                // A full word is 64 consecutive CPUs: no bit scanning.
+                for b in 0..64 {
+                    acc = f(acc, CpuId(base + b));
+                }
+                bits = 0;
             }
-            self.word += 1;
-            if self.word >= self.set.words.len() {
-                return None;
+            while bits != 0 {
+                acc = f(acc, CpuId(base + bits.trailing_zeros()));
+                bits &= bits - 1;
             }
-            self.bits = self.set.words[self.word];
+            match words.next() {
+                Some(&w) => {
+                    bits = w;
+                    base = base.wrapping_add(64);
+                }
+                None => return acc,
+            }
         }
     }
 }
@@ -281,6 +307,35 @@ mod tests {
         let s = set(&[200, 5, 63, 64, 65, 0]);
         let got: Vec<u32> = s.iter().map(|c| c.0).collect();
         assert_eq!(got, vec![0, 5, 63, 64, 65, 200]);
+    }
+
+    #[test]
+    fn internal_iteration_matches_next() {
+        // Full words take `fold`'s fast path; partial and sparse ones scan
+        // bits. Both must agree with `next`, also after a partial walk.
+        let mut mixed = CpuSet::first_n(130);
+        mixed.remove(CpuId(70));
+        mixed.insert(CpuId(255));
+        let sets = [
+            CpuSet::empty(),
+            CpuSet::first_n(64),
+            CpuSet::first_n(256),
+            set(&[0, 63, 64, 127, 190]),
+            mixed,
+        ];
+        for s in &sets {
+            for skip in 0..4 {
+                let mut stepped = s.iter();
+                let mut folded = s.iter();
+                for _ in 0..skip {
+                    assert_eq!(stepped.next(), folded.next());
+                }
+                let by_next: Vec<CpuId> = stepped.collect();
+                let mut by_fold = Vec::new();
+                folded.for_each(|c| by_fold.push(c));
+                assert_eq!(by_fold, by_next, "{s} after {skip} steps");
+            }
+        }
     }
 
     #[test]

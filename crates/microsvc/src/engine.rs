@@ -2192,19 +2192,23 @@ impl Engine {
     /// Restoring into an engine built from a different configuration would
     /// silently misinterpret slab indices, so the fingerprint is written
     /// first and checked first.
+    ///
+    /// Hashed as it is formatted: every micro-snapshot writes it, and
+    /// building the string would allocate.
     fn config_fingerprint(&self) -> u64 {
-        fnv64(
-            format!(
-                "{:?}|cpus={}|services={}|classes={}|instances={}|workers={}",
-                self.params,
-                self.topo.num_cpus(),
-                self.app.services().len(),
-                self.classes.len(),
-                self.instances.len(),
-                self.workers.len()
-            )
-            .as_bytes(),
+        let mut h = Fnv64::default();
+        write!(
+            h,
+            "{:?}|cpus={}|services={}|classes={}|instances={}|workers={}",
+            self.params,
+            self.topo.num_cpus(),
+            self.app.services().len(),
+            self.classes.len(),
+            self.instances.len(),
+            self.workers.len()
         )
+        .expect("hashing never fails");
+        h.finish()
     }
 
     /// Serializes the engine's complete mutable state: calendar, scheduler,
@@ -2587,7 +2591,8 @@ impl Engine {
     }
 }
 
-use simcore::snap::{fnv64, Snap, SnapError, SnapReader, SnapWriter};
+use simcore::snap::{Fnv64, Snap, SnapError, SnapReader, SnapWriter};
+use std::fmt::Write as _;
 
 impl Snap for Event {
     fn save(&self, w: &mut SnapWriter) {

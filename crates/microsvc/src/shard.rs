@@ -500,8 +500,12 @@ pub trait SnapDriver: Driver {
 
 /// One cell: a serial engine plus its wrapped driver, and the reusable
 /// speculation scratch (micro-snapshot buffer, replay bookkeeping). The
-/// scratch buffers are warm after the first wide round — steady-state
-/// speculation allocates nothing.
+/// scratch buffers are warm after the first wide round. From then on a
+/// micro-snapshot allocates nothing in the engine or the shard state
+/// (tests/snap_alloc.rs checks the engine); a `loadgen::ClosedLoop` driver
+/// adds one allocation, its key-sorted bucket list. A rollback's restore
+/// does allocate: the calendar, the scheduler's task table and the
+/// driver's user table are rebuilt in fresh allocations.
 struct Cell<D> {
     engine: Engine,
     driver: ShardDriver<D>,
@@ -526,8 +530,8 @@ struct Cell<D> {
 impl<D: SnapDriver> Cell<D> {
     // simlint: hotpath(begin) — micro-snapshot save/restore and rollback
     // replay run once (or more, under contention) per wide round per cell.
-    // Bare-mode snapshots reuse `snap_buf` and the sort scratches; no
-    // allocation after warm-up.
+    // Bare-mode snapshots reuse `snap_buf` and the sort scratches; see the
+    // `Cell` docs for what still allocates.
     /// Captures the cell into its reusable bare buffer — the speculation
     /// checkpoint taken at the start of every wide round.
     fn micro_save(&mut self) {

@@ -497,6 +497,12 @@ impl Scheduler {
     /// affinity changes), runqueues, the running table, and counters. The
     /// topology and params are *not* captured — a restored scheduler must be
     /// constructed over the same machine first.
+    ///
+    /// Everything streams straight into the writer with no intermediate
+    /// collections — the speculative shard rounds take this snapshot once
+    /// per round per cell. The layout is that of the equivalent
+    /// `Vec<u32>` (affinity), `Vec<(SimDuration, u64, u64)>` (runqueue) and
+    /// `Vec<Option<u64>>` (running table) saves.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.section("scheduler");
         w.usize(self.tasks.len());
@@ -507,21 +513,25 @@ impl Scheduler {
                 TaskState::Blocked => 2,
                 TaskState::Terminated => 3,
             });
-            let mask: Vec<u32> = t.affinity.iter().map(|c| c.0).collect();
-            mask.save(w);
+            w.u32s_iter(t.affinity.len(), t.affinity.iter().map(|c| c.0));
             t.cpu.map(|c| c.0).save(w);
             t.last_cpu.map(|c| c.0).save(w);
             t.vruntime.save(w);
         }
         w.usize(self.runqueues.len());
         for rq in &self.runqueues {
-            let entries: Vec<(SimDuration, u64, u64)> =
-                rq.queue.iter().map(|&(v, s, t)| (v, s, t.0)).collect();
-            entries.save(w);
+            w.usize(rq.queue.len());
+            for &(vruntime, seq, task) in &rq.queue {
+                vruntime.save(w);
+                w.u64(seq);
+                w.u64(task.0);
+            }
             w.u64(rq.next_arrival);
         }
-        let running: Vec<Option<u64>> = self.running.iter().map(|t| t.map(|t| t.0)).collect();
-        running.save(w);
+        w.usize(self.running.len());
+        for t in &self.running {
+            t.map(|t| t.0).save(w);
+        }
         w.usize(self.queued_total);
         w.u64(self.stats.wakeups);
         w.u64(self.stats.context_switches);
@@ -536,7 +546,7 @@ impl Scheduler {
         let ncpus = self.runqueues.len();
         let ntasks = r.usize()?;
         let mut tasks = Vec::with_capacity(ntasks.min(1 << 24));
-        for _ in 0..ntasks {
+        for idx in 0..ntasks {
             let state = match r.u8()? {
                 0 => TaskState::Runnable,
                 1 => TaskState::Running,
@@ -546,12 +556,28 @@ impl Scheduler {
                     return Err(SnapError::Corrupt(format!("unknown task state {other}")));
                 }
             };
-            let mask = Vec::<u32>::load(r)?;
-            let affinity: CpuSet = mask.into_iter().map(CpuId).collect();
-            if affinity.is_empty() || !affinity.is_subset(self.topo.all_cpus()) {
-                return Err(SnapError::Corrupt(
-                    "task affinity does not fit the machine".into(),
-                ));
+            let ids = r.u32s_iter()?;
+            let affinity = match self.tasks.get(idx) {
+                // Affinity rarely changes after spawn, so a restore into
+                // the same engine mostly finds it already in place.
+                Some(t) if t.affinity.iter().map(|c| c.0).eq(ids.clone()) => t.affinity.clone(),
+                _ => {
+                    let mut set = CpuSet::empty();
+                    for cpu in ids.map(CpuId) {
+                        // Checked before the insert: a corrupt id must not
+                        // grow the bitmask to its size.
+                        if !self.topo.all_cpus().contains(cpu) {
+                            return Err(SnapError::Corrupt(
+                                "task affinity does not fit the machine".into(),
+                            ));
+                        }
+                        set.insert(cpu);
+                    }
+                    set
+                }
+            };
+            if affinity.is_empty() {
+                return Err(SnapError::Corrupt("task affinity is empty".into()));
             }
             let cpu = Option::<u32>::load(r)?.map(CpuId);
             let last_cpu = Option::<u32>::load(r)?.map(CpuId);
@@ -571,27 +597,24 @@ impl Scheduler {
         }
         let mut runqueues = Vec::with_capacity(ncpus);
         for _ in 0..ncpus {
-            let entries = Vec::<(SimDuration, u64, u64)>::load(r)?;
-            let queue: std::collections::BTreeSet<_> = entries
-                .into_iter()
-                .map(|(v, s, t)| (v, s, TaskId(t)))
-                .collect();
+            let mut queue = std::collections::BTreeSet::new();
+            for _ in 0..r.usize()? {
+                queue.insert((SimDuration::load(r)?, r.u64()?, TaskId(r.u64()?)));
+            }
             runqueues.push(RunQueue {
                 queue,
                 next_arrival: r.u64()?,
             });
         }
-        let running_raw = Vec::<Option<u64>>::load(r)?;
-        if running_raw.len() != ncpus {
+        let nrunning = r.usize()?;
+        if nrunning != ncpus {
             return Err(SnapError::Corrupt(format!(
-                "snapshot running table covers {} CPUs, machine has {ncpus}",
-                running_raw.len()
+                "snapshot running table covers {nrunning} CPUs, machine has {ncpus}"
             )));
         }
-        let running: Vec<Option<TaskId>> = running_raw
-            .into_iter()
-            .map(|t| t.map(TaskId))
-            .collect();
+        let running = (0..ncpus)
+            .map(|_| Ok(Option::<u64>::load(r)?.map(TaskId)))
+            .collect::<Result<Vec<_>, SnapError>>()?;
         for t in running.iter().flatten() {
             if t.index() >= tasks.len() {
                 return Err(SnapError::Corrupt(format!(

@@ -648,8 +648,8 @@ impl<E: Snap> Snap for Calendar<E> {
             w.bool(e.cancelled);
             e.payload.save(w);
         }
-        self.free.save(w);
-        self.ready.save(w);
+        w.u32s(&self.free);
+        w.u32s(&self.ready);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -671,8 +671,8 @@ impl<E: Snap> Snap for Calendar<E> {
                 payload: Option::<E>::load(r)?,
             });
         }
-        cal.free = Vec::<u32>::load(r)?;
-        cal.ready = Vec::<u32>::load(r)?;
+        cal.free = r.u32s()?;
+        cal.ready = r.u32s()?;
         let mut in_wheel = vec![true; n];
         for &idx in cal.free.iter().chain(cal.ready.iter()) {
             let slot = in_wheel

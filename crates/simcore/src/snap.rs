@@ -41,12 +41,43 @@ const SECTION_TAG: u8 = 0xA5;
 
 /// FNV-1a, 64-bit — the same dependency-free hash the golden tests use.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv64::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv64`]: feeding the bytes in pieces gives the hash of their
+/// concatenation. As a [`std::fmt::Write`] sink it hashes formatted text
+/// without building the string.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv64 {
+    /// Feeds `bytes` into the hash.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Why a snapshot buffer was rejected.
@@ -164,40 +195,81 @@ impl SnapWriter {
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a `u32`, little-endian.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u64`, little-endian.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u128` as two little-endian `u64` halves (low, high).
+    #[inline]
     pub fn u128(&mut self, v: u128) {
         self.u64(v as u64);
         self.u64((v >> 64) as u64);
     }
 
     /// Writes a `usize` as `u64`.
+    #[inline]
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// Writes an `f64` as its bit pattern — bit-exact round-trips, NaNs and
     /// signed zeros included.
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Writes a `bool` as one byte.
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.u8(v as u8);
+    }
+
+    /// Writes a length-framed `u64` slice in one pass — byte-identical to
+    /// `Vec<u64>::save`, at memory speed instead of one push per element.
+    pub fn u64s(&mut self, v: &[u64]) {
+        self.usize(v.len());
+        self.buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
+    }
+
+    /// Writes a length-framed `u32` slice in one pass — byte-identical to
+    /// `Vec<u32>::save`.
+    pub fn u32s(&mut self, v: &[u32]) {
+        self.usize(v.len());
+        self.buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
+    }
+
+    /// [`SnapWriter::u32s`] of the `len` values `items` yields, without
+    /// collecting them first. Each value lands in a pre-sized slot, so an
+    /// iterator that is not a plain slice walk (a bitmask, say) still
+    /// streams without a capacity check per byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` does not yield exactly `len` values.
+    pub fn u32s_iter(&mut self, len: usize, items: impl IntoIterator<Item = u32>) {
+        self.usize(len);
+        let start = self.buf.len();
+        self.buf.resize(start + len * 4, 0);
+        let mut slots = self.buf[start..].chunks_exact_mut(4);
+        items.into_iter().for_each(|x| {
+            let dst = slots.next().expect("u32s_iter: more items than len");
+            dst.copy_from_slice(&x.to_le_bytes());
+        });
+        assert!(slots.next().is_none(), "u32s_iter: fewer items than len");
     }
 
     /// Writes a length-framed byte string.
@@ -280,8 +352,11 @@ impl<'a> SnapReader<'a> {
         SnapReader { buf, pos: 0 }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        if self.pos + n > self.buf.len() {
+        // `pos <= buf.len()` always holds, so this cannot overflow even for
+        // an absurd `n` decoded from a corrupt length.
+        if n > self.buf.len() - self.pos {
             return Err(SnapError::Truncated {
                 at: self.pos,
                 wanted: n,
@@ -310,21 +385,25 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, SnapError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, SnapError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
     /// Reads a `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, SnapError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
     /// Reads a `u128` written by [`SnapWriter::u128`].
+    #[inline]
     pub fn u128(&mut self) -> Result<u128, SnapError> {
         let lo = self.u64()?;
         let hi = self.u64()?;
@@ -332,23 +411,64 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a `usize` written as `u64`.
+    #[inline]
     pub fn usize(&mut self) -> Result<usize, SnapError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| SnapError::Corrupt(format!("usize overflow: {v}")))
     }
 
     /// Reads an `f64` bit pattern.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, SnapError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads a `bool`.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, SnapError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(SnapError::Corrupt(format!("bad bool byte {other:#04x}"))),
         }
+    }
+
+    /// Takes the body of a length-framed slice of `width`-byte items,
+    /// failing — before reserving anything — when the byte count overflows
+    /// or runs past the buffer.
+    fn take_items(&mut self, width: usize) -> Result<&'a [u8], SnapError> {
+        let len = self.usize()?;
+        let n = len
+            .checked_mul(width)
+            .ok_or_else(|| SnapError::Corrupt(format!("slice length overflow: {len}")))?;
+        self.take(n)
+    }
+
+    /// Reads a slice written by [`SnapWriter::u64s`] (or `Vec<u64>::save`)
+    /// in one pass; the result holds exactly its elements.
+    pub fn u64s(&mut self) -> Result<Vec<u64>, SnapError> {
+        let raw = self.take_items(8)?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8")))
+            .collect())
+    }
+
+    /// Reads a slice written by [`SnapWriter::u32s`] (or `Vec<u32>::save`)
+    /// in one pass; the result holds exactly its elements.
+    pub fn u32s(&mut self) -> Result<Vec<u32>, SnapError> {
+        Ok(self.u32s_iter()?.collect())
+    }
+
+    /// [`SnapReader::u32s`] without the `Vec`: the whole slice is checked
+    /// against the buffer up front, then decoded lazily as it is iterated.
+    pub fn u32s_iter(
+        &mut self,
+    ) -> Result<impl ExactSizeIterator<Item = u32> + Clone + 'a, SnapError> {
+        let raw = self.take_items(4)?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4"))))
     }
 
     /// Reads a length-framed byte string.
@@ -380,9 +500,11 @@ pub trait Snap: Sized {
 macro_rules! snap_prim {
     ($ty:ty, $write:ident, $read:ident) => {
         impl Snap for $ty {
+            #[inline]
             fn save(&self, w: &mut SnapWriter) {
                 w.$write(*self);
             }
+            #[inline]
             fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
                 r.$read()
             }
@@ -409,18 +531,22 @@ impl Snap for u16 {
 }
 
 impl Snap for SimTime {
+    #[inline]
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.as_nanos());
     }
+    #[inline]
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(SimTime::from_nanos(r.u64()?))
     }
 }
 
 impl Snap for SimDuration {
+    #[inline]
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.as_nanos());
     }
+    #[inline]
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(SimDuration::from_nanos(r.u64()?))
     }
@@ -701,6 +827,92 @@ mod tests {
         load_vec_into(&mut dst, &mut r).expect("second");
         assert_eq!(dst, vec![9, 2, 6]);
         assert!(dst.capacity() >= 64, "capacity must never shrink");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bulk_writers_emit_exactly_the_vec_save_bytes(
+            wide in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..300),
+            narrow in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 0..300),
+        ) {
+            let mut bulk = SnapWriter::new();
+            bulk.u64s(&wide);
+            bulk.u32s(&narrow);
+            let mut each = SnapWriter::new();
+            wide.save(&mut each);
+            narrow.save(&mut each);
+            let bytes = bulk.finish();
+            proptest::prop_assert_eq!(&bytes, &each.finish());
+
+            let mut r = SnapReader::new(&bytes).expect("valid");
+            proptest::prop_assert_eq!(r.u64s().unwrap(), wide.clone());
+            proptest::prop_assert_eq!(r.u32s().unwrap(), narrow.clone());
+            let mut r = SnapReader::new(&bytes).expect("valid");
+            proptest::prop_assert_eq!(Vec::<u64>::load(&mut r).unwrap(), wide);
+            proptest::prop_assert_eq!(Vec::<u32>::load(&mut r).unwrap(), narrow);
+        }
+    }
+
+    #[test]
+    fn bulk_readers_reject_truncation_anywhere() {
+        let mut w = SnapWriter::bare(Vec::new());
+        w.u64s(&[1, 2, 3]);
+        let wide = w.into_bare();
+        let mut w = SnapWriter::bare(Vec::new());
+        w.u32s(&[4, 5, 6]);
+        let narrow = w.into_bare();
+        for cut in 0..wide.len() {
+            let got = SnapReader::bare(&wide[..cut]).u64s();
+            assert!(
+                matches!(got, Err(SnapError::Truncated { .. })),
+                "{cut}: {got:?}"
+            );
+        }
+        for cut in 0..narrow.len() {
+            let got = SnapReader::bare(&narrow[..cut]).u32s();
+            assert!(
+                matches!(got, Err(SnapError::Truncated { .. })),
+                "{cut}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bulk_readers_reject_absurd_lengths_without_reserving() {
+        // A byte count that overflows `usize` is corrupt, not a panic.
+        let mut w = SnapWriter::bare(Vec::new());
+        w.u64(u64::MAX);
+        w.u64(7);
+        let buf = w.into_bare();
+        assert!(matches!(
+            SnapReader::bare(&buf).u64s(),
+            Err(SnapError::Corrupt(_))
+        ));
+        assert!(matches!(
+            SnapReader::bare(&buf).u32s(),
+            Err(SnapError::Corrupt(_))
+        ));
+        // A length that fits but promises terabytes fails on the bytes that
+        // are there; reserving it first would abort the process instead.
+        let mut w = SnapWriter::bare(Vec::new());
+        w.u64(1 << 40);
+        w.u64(7);
+        let buf = w.into_bare();
+        assert!(matches!(
+            SnapReader::bare(&buf).u64s(),
+            Err(SnapError::Truncated { .. })
+        ));
+        assert!(matches!(
+            SnapReader::bare(&buf).u32s(),
+            Err(SnapError::Truncated { .. })
+        ));
+        // The same guard covers byte strings.
+        assert!(matches!(
+            SnapReader::bare(&u64::MAX.to_le_bytes()).bytes(),
+            Err(SnapError::Truncated { .. })
+        ));
     }
 
     #[test]

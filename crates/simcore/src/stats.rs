@@ -478,7 +478,7 @@ impl Snap for Welford {
 
 impl Snap for LogHistogram {
     fn save(&self, w: &mut SnapWriter) {
-        self.counts.save(w);
+        w.u64s(&self.counts);
         w.u64(self.total);
         w.u128(self.sum);
         w.u64(self.min);
@@ -486,7 +486,7 @@ impl Snap for LogHistogram {
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let counts = Vec::<u64>::load(r)?;
+        let counts = r.u64s()?;
         let expected = LogHistogram::new().counts.len();
         if counts.len() != expected {
             return Err(SnapError::Corrupt(format!(

@@ -665,8 +665,12 @@ fn parse_fn(
 /// Scans a function's body lines for calls and allocation-prone needles.
 fn collect_body_facts(file: &SourceFile, def: &mut FnDef) {
     let code = &file.model.code;
-    for idx in def.body_start..=def.body_end.min(code.len().saturating_sub(1)) {
-        let line = &code[idx];
+    let body = code
+        .iter()
+        .enumerate()
+        .take(def.body_end.saturating_add(1))
+        .skip(def.body_start);
+    for (idx, line) in body {
         collect_calls(line, idx, &mut def.calls);
         // Allocation needles: H1 owns fenced lines; `allow(H1)` marks a
         // line as sanctioned (cold-start growth), `allow(H3)` waives it

@@ -298,6 +298,70 @@ proptest! {
     }
 }
 
+/// A cell 300 ms into a run on the paper's 2-socket machine: every
+/// instance pinned to its own 4-CPU window with 16 workers, so runqueues
+/// hold waiting tasks, and a coalesced closed loop with users parked
+/// across many wake buckets.
+fn zen2_cell_mid_run() -> (Engine, ClosedLoop) {
+    let topo = Arc::new(cputopo::Topology::zen2_2p_128c());
+    let store = TeaStore::browse();
+    let mix = store.mix();
+    let app = store.into_app();
+    let mut deployment = Deployment::empty(&app);
+    let mut next_cpu = 0u32;
+    for svc in 0..app.services().len() {
+        for _ in 0..2 {
+            let affinity = (next_cpu..next_cpu + 4).map(cputopo::CpuId).collect();
+            next_cpu = (next_cpu + 4) % topo.num_cpus() as u32;
+            deployment.add_instance(
+                microsvc::ServiceId(svc as u32),
+                microsvc::InstanceConfig {
+                    affinity,
+                    threads: 16,
+                    mem_node: None,
+                },
+            );
+        }
+    }
+    let mut engine = Engine::new(topo, EngineParams::default(), app, deployment, 5);
+    let mut load = ClosedLoop::new(900)
+        .think_time(SimDuration::from_millis(200))
+        .mix(&mix)
+        .warmup(SimDuration::from_millis(50))
+        .coalesce(SimDuration::from_millis(1));
+    engine.run(&mut load, SimTime::ZERO + SimDuration::from_millis(300));
+    (engine, load)
+}
+
+#[test]
+fn codec_bytes_match_the_pinned_layout() {
+    // The snapshot layout is a contract (`SNAP_VERSION` 1): a codec may get
+    // faster, but it must keep writing exactly these bytes. Pinned as the
+    // FNV-64 of each full enveloped snapshot. The bare micro-snapshot the
+    // speculative rounds take must be exactly the enveloped body.
+    let (engine, load) = zen2_cell_mid_run();
+    let mut w = SnapWriter::new();
+    engine.snap_save(&mut w);
+    let engine_bytes = w.finish();
+    let mut w = SnapWriter::new();
+    load.snap_save(&mut w);
+    let load_bytes = w.finish();
+    assert!(load.parked_users() > 450, "most users must be parked");
+    let mut bare = SnapWriter::bare(Vec::new());
+    engine.snap_save(&mut bare);
+    assert_eq!(bare.into_bare(), engine_bytes[8..engine_bytes.len() - 12]);
+    assert_eq!(
+        (engine_bytes.len(), fnv64(&engine_bytes)),
+        (347_063, 0xa1b8_b02f_a076_9538),
+        "engine snapshot bytes moved"
+    );
+    assert_eq!(
+        (load_bytes.len(), fnv64(&load_bytes)),
+        (16_342, 0xca75_816f_580f_3250),
+        "closed-loop snapshot bytes moved"
+    );
+}
+
 #[test]
 fn version_bumped_snapshots_are_rejected_with_a_diagnostic() {
     let mut bytes = snapshot_at(8, 0, 50_000);
