@@ -49,6 +49,8 @@ use microsvc::{Driver, EngineCtx, ResponseInfo};
 use simcore::dist::{Distribution, Exp, WeightedIndex};
 use simcore::snap::{SnapError, SnapReader, SnapWriter};
 use simcore::{DetHashMap, SimDuration};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const TOKEN_WARMUP: u64 = u64::MAX;
 const TOKEN_STOP: u64 = u64::MAX - 1;
@@ -58,6 +60,12 @@ const TOKEN_ARRIVAL: u64 = u64::MAX - 2;
 /// but sit in the top three values, checked first) and from per-user tokens
 /// (user ids are bounded by the u32 population limit).
 const TOKEN_BUCKET_BIT: u64 = 1 << 62;
+
+/// Source of rollback-point stamps. One counter for the process, so a
+/// stamp names one point of one loop and a stale or foreign bare buffer
+/// can never match. Stamps are only compared for equality; they never
+/// reach simulated state.
+static NEXT_POINT: AtomicU64 = AtomicU64::new(1);
 
 /// Wake-up bookkeeping for a coalesced closed loop: a structure-of-arrays
 /// user table plus the pending wake buckets.
@@ -82,49 +90,253 @@ struct UserTable {
     /// Most users ever parked in buckets at once.
     high_water: usize,
     parked: usize,
+    /// The latest rollback point and the undo entries since. Written by a
+    /// bare `snap_save`, which takes `&self`, hence the `RefCell`.
+    journal: RefCell<Journal>, // simlint: allow(S1) — rollback-point scratch: a durable snapshot carries the state it would restore, and a durable restore retires the point
+}
+
+/// The latest rollback point of a [`UserTable`] and how to get back to it.
+///
+/// On a started table the point is an undo journal: from the mark on,
+/// every `park`, `release` and `recycle` pushes one [`Undo`] entry, so a
+/// point costs O(1) to take and O(changes since) to restore, however large
+/// the population. On an unstarted table (before `start` parks everyone)
+/// the point is a copy of the table, which is then nearly empty, so
+/// restoring it resets the table without journaling each user. A journal
+/// that outgrows the table (one-window shard rounds take no point, so the
+/// changes of several rounds can pile up) is folded into a copy too, which
+/// bounds it by the smaller of the work since the point and the population.
+#[derive(Debug, Clone, Default)]
+struct Journal {
+    /// Stamp of the live point; 0 = none.
+    point: u64,
+    /// Whether changes are being journaled; otherwise `copy` is the point.
+    recording: bool,
+    /// `UserTable::parked` at the point, when recording.
+    parked: usize,
+    /// `UserTable::high_water` at the point, when recording.
+    high_water: usize,
+    /// Undo entries, oldest first.
+    undo: Vec<Undo>,
+    /// Users of the buckets released since the point, in bucket order.
+    arena: Vec<u32>,
+    /// Empty vectors outside the spare pool (whose length is state):
+    /// bucket vectors handed back by undoing, reused before allocating.
+    limbo: Vec<Vec<u32>>,
+    /// The table at the point in the full codec, when not recording.
+    copy: Vec<u8>,
+}
+
+/// One journaled [`UserTable`] change, with what undoing it needs.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    /// `park` pushed `user` onto bucket `key` over its old `deadline_ns`.
+    Park {
+        user: u32,
+        deadline_ns: u64,
+        key: u64,
+        opened: Opened,
+    },
+    /// `release` removed bucket `key`; its users are the arena from `at` on.
+    Release { key: u64, at: usize },
+    /// `recycle` pushed a drained vector onto the spare pool.
+    Recycle,
+}
+
+/// Whether `park` opened the bucket, and with which vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Opened {
+    /// The bucket was already open.
+    No,
+    /// Opened with a vector from the spare pool.
+    Spare,
+    /// Opened with a vector from limbo or a new one.
+    Fresh,
 }
 
 impl UserTable {
     /// Parks `user` until `deadline_ns`, returning `Some(fire_ns)` when the
     /// caller must arm a new bucket timer for that instant.
     fn park(&mut self, user: u32, deadline_ns: u64, grain_ns: u64) -> Option<u64> {
+        // Only a recording point needs the old deadline. `start` fills a
+        // freshly zeroed table, where a read before each write would fault
+        // every page in twice.
+        let old = if self.journal.get_mut().recording {
+            self.deadline_ns[user as usize]
+        } else {
+            0
+        };
         self.deadline_ns[user as usize] = deadline_ns;
         self.parked += 1;
         if self.parked > self.high_water {
             self.high_water = self.parked;
         }
         let key = deadline_ns.div_ceil(grain_ns);
-        match self.buckets.entry(key) {
+        let limbo = &mut self.journal.get_mut().limbo;
+        let (fire_ns, opened) = match self.buckets.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 e.into_mut().push(user);
-                None
+                (None, Opened::No)
             }
             std::collections::hash_map::Entry::Vacant(v) => {
-                let mut vec = self.spare.pop().unwrap_or_default();
+                let (mut vec, opened) = match self.spare.pop() {
+                    Some(vec) => (vec, Opened::Spare),
+                    None => (limbo.pop().unwrap_or_default(), Opened::Fresh),
+                };
                 vec.push(user);
                 v.insert(vec);
-                Some(key * grain_ns)
+                (Some(key * grain_ns), opened)
             }
-        }
+        };
+        self.record(Undo::Park {
+            user,
+            deadline_ns: old,
+            key,
+            opened,
+        });
+        fire_ns
     }
 
     /// Releases the bucket with `key`, returning its users sorted by
     /// (packed deadline, id) — the order the un-coalesced loop would have
-    /// woken them.
+    /// woken them. Hand the vector back with [`UserTable::recycle`].
     fn release(&mut self, key: u64) -> Vec<u32> {
-        let mut users = self.buckets.remove(&key).unwrap_or_default();
+        let Some(mut users) = self.buckets.remove(&key) else {
+            return Vec::new();
+        };
         self.parked -= users.len();
+        let journal = self.journal.get_mut();
+        let at = journal.arena.len();
+        if journal.recording {
+            journal.arena.extend_from_slice(&users);
+        }
+        self.record(Undo::Release { key, at });
         let deadlines = &self.deadline_ns;
         users.sort_unstable_by_key(|&u| (deadlines[u as usize], u));
         users
     }
 
+    /// Returns a released bucket's vector to the spare pool.
+    fn recycle(&mut self, mut users: Vec<u32>) {
+        users.clear();
+        self.spare.push(users);
+        self.record(Undo::Recycle);
+    }
+
+    /// Journals `entry` if a point is recording. A journal longer than the
+    /// population costs more than a copy of the table, so it is folded
+    /// into one.
+    #[inline]
+    fn record(&mut self, entry: Undo) {
+        let journal = self.journal.get_mut();
+        if journal.recording {
+            journal.undo.push(entry);
+            if journal.undo.len() + journal.arena.len() > self.deadline_ns.len() {
+                self.fold_into_copy();
+            }
+        }
+    }
+
+    /// Takes a rollback point, retiring the previous one and trimming its
+    /// journal, and writes the point's stamp.
+    fn mark(&self, w: &mut SnapWriter) {
+        let mut journal = self.journal.borrow_mut();
+        journal.point = NEXT_POINT.fetch_add(1, Ordering::Relaxed);
+        journal.undo.clear();
+        journal.arena.clear();
+        journal.recording = !self.deadline_ns.is_empty();
+        if journal.recording {
+            journal.parked = self.parked;
+            journal.high_water = self.high_water;
+        } else {
+            let mut copy = SnapWriter::bare(std::mem::take(&mut journal.copy));
+            self.snap_save(&mut copy);
+            journal.copy = copy.into_bare();
+        }
+        w.u64(journal.point);
+    }
+
+    /// Returns the table to the rollback point stamped `point`, which stays
+    /// live. A stale or foreign stamp is `Corrupt` and changes nothing.
+    fn rollback(&mut self, point: u64, users: u64) -> Result<(), SnapError> {
+        let journal = self.journal.get_mut();
+        if point == 0 || point != journal.point {
+            return Err(SnapError::Corrupt(format!(
+                "rollback point {point} is stale or another loop's (this loop's latest is {})",
+                journal.point
+            )));
+        }
+        if journal.recording {
+            let mut journal = std::mem::take(journal);
+            self.undo(&mut journal);
+            *self.journal.get_mut() = journal;
+        } else {
+            let mut table = UserTable::snap_load(&mut SnapReader::bare(&journal.copy), users)?;
+            table.journal = std::mem::take(&mut self.journal);
+            *self = table;
+        }
+        Ok(())
+    }
+
+    /// Undoes `journal`'s entries, newest first, leaving the table at the
+    /// point and the journal empty.
+    fn undo(&mut self, journal: &mut Journal) {
+        while let Some(entry) = journal.undo.pop() {
+            match entry {
+                Undo::Park {
+                    user,
+                    deadline_ns,
+                    key,
+                    opened,
+                } => {
+                    self.deadline_ns[user as usize] = deadline_ns;
+                    if opened == Opened::No {
+                        self.buckets.get_mut(&key).expect("journaled bucket").pop();
+                    } else {
+                        let mut vec = self.buckets.remove(&key).expect("journaled bucket");
+                        vec.clear();
+                        match opened {
+                            Opened::Spare => self.spare.push(vec),
+                            _ => journal.limbo.push(vec),
+                        }
+                    }
+                }
+                Undo::Release { key, at } => {
+                    let mut users = journal.limbo.pop().unwrap_or_default();
+                    users.extend_from_slice(&journal.arena[at..]);
+                    journal.arena.truncate(at);
+                    self.buckets.insert(key, users);
+                }
+                Undo::Recycle => journal
+                    .limbo
+                    .push(self.spare.pop().expect("journaled spare vector")),
+            }
+        }
+        self.parked = journal.parked;
+        self.high_water = journal.high_water;
+    }
+
+    /// Turns the recording point into a copy: undoes the journal on a clone
+    /// of the table and encodes the result. O(population), so it runs only
+    /// once a journal has outgrown the table.
+    #[cold]
+    #[inline(never)]
+    fn fold_into_copy(&mut self) {
+        let mut journal = std::mem::take(self.journal.get_mut());
+        let mut at_point = self.clone();
+        at_point.undo(&mut journal);
+        let mut copy = SnapWriter::bare(std::mem::take(&mut journal.copy));
+        at_point.snap_save(&mut copy);
+        journal.copy = copy.into_bare();
+        journal.recording = false;
+        *self.journal.get_mut() = journal;
+    }
+
     /// Serializes the table with buckets in sorted-key order; the spare pool
     /// is captured as a count (its vectors are always empty — only their
     /// allocations are reused). The deadline table and every bucket go
-    /// through the bulk slice codecs: the same bytes as `Vec::save`, but
-    /// this runs once per speculative round per cell, so it must move at
-    /// memory speed. The key-sorted bucket list is the one allocation.
+    /// through the bulk slice codecs: the same bytes as `Vec::save`, at
+    /// memory speed.
     fn snap_save(&self, w: &mut SnapWriter) {
         w.u64s(&self.deadline_ns);
         let mut buckets: Vec<(u64, &Vec<u32>)> = self
@@ -143,39 +355,81 @@ impl UserTable {
         w.usize(self.parked);
     }
 
-    /// Rebuilds a table from [`UserTable::snap_save`] into fresh, exactly
-    /// sized allocations (reusing the old bucket vectors in place was
-    /// measured to raise peak RSS).
-    fn snap_load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+    /// Rebuilds the table of a `users`-user loop from
+    /// [`UserTable::snap_save`], checking it first: the deadline table is
+    /// empty (unstarted) or has one slot per user, bucket keys ascend,
+    /// every parked id indexes the deadline table, `parked` is the users in
+    /// buckets, and `spare <= high_water <= users`, `parked <= high_water`
+    /// (each bucket vector once held a parked user). A violation is
+    /// `Corrupt`, found before the spare pool is allocated.
+    fn snap_load(r: &mut SnapReader<'_>, users: u64) -> Result<Self, SnapError> {
+        let corrupt = |what: String| Err(SnapError::Corrupt(format!("closed-loop table: {what}")));
         let deadline_ns = r.u64s()?;
+        if !deadline_ns.is_empty() && deadline_ns.len() as u64 != users {
+            return corrupt(format!(
+                "{} deadline slots for {users} users",
+                deadline_ns.len()
+            ));
+        }
         let nbuckets = r.usize()?;
         let mut buckets = DetHashMap::default();
+        let mut in_buckets = 0usize;
+        let mut last_key = None;
         for _ in 0..nbuckets {
             let key = r.u64()?;
-            buckets.insert(key, r.u32s()?);
+            if last_key.is_some_and(|last| key <= last) {
+                return corrupt(format!("bucket key {key} out of order"));
+            }
+            last_key = Some(key);
+            let ids = r.u32s()?;
+            if let Some(&id) = ids.iter().find(|&&id| id as usize >= deadline_ns.len()) {
+                return corrupt(format!(
+                    "user {id} parked in bucket {key}, {} deadline slots",
+                    deadline_ns.len()
+                ));
+            }
+            in_buckets += ids.len();
+            buckets.insert(key, ids);
         }
-        let spare = vec![Vec::new(); r.usize()?];
+        let spare = r.usize()?;
+        let high_water = r.usize()?;
+        let parked = r.usize()?;
+        if parked != in_buckets {
+            return corrupt(format!("{parked} parked, {in_buckets} in buckets"));
+        }
+        if high_water as u64 > users || parked > high_water || spare > high_water {
+            return corrupt(format!(
+                "{spare} spare, {parked} parked, high water {high_water}, {users} users"
+            ));
+        }
         Ok(UserTable {
             deadline_ns,
             buckets,
-            spare,
-            high_water: r.usize()?,
-            parked: r.usize()?,
+            spare: vec![Vec::new(); spare],
+            high_water,
+            parked,
+            journal: RefCell::default(),
         })
     }
 
-    /// Approximate heap bytes held by the table (capacities, not lengths).
+    /// Approximate heap bytes held by the table (capacities, not lengths),
+    /// rollback journal included.
     fn footprint_bytes(&self) -> usize {
+        let journal = self.journal.borrow();
         let ids: usize = self
             .buckets
             .values()
             .chain(self.spare.iter())
-            .map(|v| v.capacity() * std::mem::size_of::<u32>())
-            .sum();
+            .chain(journal.limbo.iter())
+            .map(|v| v.capacity())
+            .sum::<usize>()
+            + journal.arena.capacity();
         self.deadline_ns.capacity() * std::mem::size_of::<u64>()
             + self.buckets.capacity()
                 * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>())
-            + ids
+            + ids * std::mem::size_of::<u32>()
+            + journal.undo.capacity() * std::mem::size_of::<Undo>()
+            + journal.copy.capacity()
     }
 }
 
@@ -326,6 +580,13 @@ impl ClosedLoop {
     /// Serializes the loop's run-time state (counters, measuring flag, the
     /// user table). The configuration is captured only as a fingerprint: a
     /// restored loop must be rebuilt with the same builder calls first.
+    ///
+    /// Into a [`SnapWriter::bare`] writer the user table is not copied: the
+    /// loop takes a rollback point instead and writes its stamp, then
+    /// journals every change to the table until the next point. The save
+    /// costs O(1) and the matching restore O(changes since), not
+    /// O(population); the buffer obeys the rollback-point contract on
+    /// [`SnapWriter::bare`].
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.section("closed-loop");
         w.u64(self.users);
@@ -334,11 +595,17 @@ impl ClosedLoop {
         w.u64(self.completed);
         w.u64(self.errors);
         w.bool(self.measuring);
-        self.table.snap_save(w);
+        if w.is_bare() {
+            self.table.mark(w);
+        } else {
+            self.table.snap_save(w);
+        }
     }
 
     /// Restores state captured by [`ClosedLoop::snap_save`] into an
-    /// identically configured loop.
+    /// identically configured loop. A bare buffer rolls the table back to
+    /// its point; a stale point or another loop's is `Corrupt`. On any
+    /// error the loop is left unchanged.
     pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.section("closed-loop")?;
         let users = r.u64()?;
@@ -355,11 +622,16 @@ impl ClosedLoop {
                 },
             )));
         }
-        self.issued = r.u64()?;
-        self.completed = r.u64()?;
-        self.errors = r.u64()?;
-        self.measuring = r.bool()?;
-        self.table = UserTable::snap_load(r)?;
+        let (issued, completed, errors, measuring) = (r.u64()?, r.u64()?, r.u64()?, r.bool()?);
+        if r.is_bare() {
+            self.table.rollback(r.u64()?, users)?;
+        } else {
+            self.table = UserTable::snap_load(r, users)?;
+        }
+        self.issued = issued;
+        self.completed = completed;
+        self.errors = errors;
+        self.measuring = measuring;
         Ok(())
     }
 
@@ -411,12 +683,11 @@ impl Driver for ClosedLoop {
             }
             TOKEN_STOP => ctx.request_stop(),
             bucket if bucket & TOKEN_BUCKET_BIT != 0 && self.coalesce.is_some() => {
-                let mut users = self.table.release(bucket & !TOKEN_BUCKET_BIT);
+                let users = self.table.release(bucket & !TOKEN_BUCKET_BIT);
                 for &user in &users {
                     self.submit_for(u64::from(user), ctx);
                 }
-                users.clear();
-                self.table.spare.push(users);
+                self.table.recycle(users);
             }
             user => self.submit_for(user, ctx),
         }
@@ -822,6 +1093,214 @@ mod tests {
             Err(SnapError::Corrupt(msg)) => assert!(msg.contains("8-user"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    /// A hand-driven stand-in for the engine: pending timers and users
+    /// waiting on a response are plain lists, so a test can save and
+    /// restore them together with the loop, as a shard cell does with its
+    /// engine.
+    #[derive(Clone)]
+    struct HandCtx {
+        now_ns: u64,
+        timers: Vec<(u64, u64)>,
+        waiting: Vec<u64>,
+        rng: simcore::Rng,
+    }
+
+    impl EngineCtx for HandCtx {
+        fn now(&self) -> SimTime {
+            SimTime::from_nanos(self.now_ns)
+        }
+        fn set_timer(&mut self, after: SimDuration, token: u64) {
+            self.timers.push((self.now_ns + after.as_nanos(), token));
+        }
+        fn submit(&mut self, _class: u32, client: u64) -> microsvc::RequestId {
+            self.waiting.push(client);
+            microsvc::RequestId(client)
+        }
+        fn rng(&mut self) -> &mut simcore::Rng {
+            &mut self.rng
+        }
+        fn reset_metrics(&mut self) {}
+        fn request_stop(&mut self) {}
+        fn completed_requests(&self) -> u64 {
+            0
+        }
+    }
+
+    impl HandCtx {
+        fn new(seed: u64) -> Self {
+            HandCtx {
+                now_ns: 0,
+                timers: Vec::new(),
+                waiting: Vec::new(),
+                rng: simcore::Rng::seed_from(seed),
+            }
+        }
+
+        /// Fires the earliest pending timer, if any.
+        fn fire_next(&mut self, load: &mut ClosedLoop) {
+            let next = (0..self.timers.len()).min_by_key(|&i| self.timers[i]);
+            if let Some(i) = next {
+                let (at, token) = self.timers.swap_remove(i);
+                self.now_ns = self.now_ns.max(at);
+                load.on_timer(token, self);
+            }
+        }
+
+        /// Answers one waiting user, who then thinks for `think_ns`.
+        fn respond(&mut self, load: &mut ClosedLoop, pick: usize, think_ns: u64) {
+            if !self.waiting.is_empty() {
+                let user = self.waiting.swap_remove(pick % self.waiting.len());
+                load.sleep_user(user, SimDuration::from_nanos(think_ns), self);
+            }
+        }
+    }
+
+    fn durable_bytes(load: &ClosedLoop) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        load.snap_save(&mut w);
+        w.finish()
+    }
+
+    fn rollback_point(load: &ClosedLoop) -> Vec<u8> {
+        let mut w = SnapWriter::bare(Vec::new());
+        load.snap_save(&mut w);
+        w.into_bare()
+    }
+
+    fn roll_back(load: &mut ClosedLoop, point: &[u8]) -> Result<(), SnapError> {
+        load.snap_restore(&mut SnapReader::bare(point))
+    }
+
+    fn journal_len(load: &ClosedLoop) -> usize {
+        let journal = load.table.journal.borrow();
+        journal.undo.len() + journal.arena.len()
+    }
+
+    /// The latest rollback point of a test loop: its bare buffer, the
+    /// durable bytes at it, the engine stand-in at it, and whether the loop
+    /// had started.
+    struct Point {
+        bare: Vec<u8>,
+        durable: Vec<u8>,
+        ctx: HandCtx,
+        started: bool,
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn rollback_points_restore_the_exact_table(
+            users in 1u64..40,
+            coalesced in proptest::prelude::any::<bool>(),
+            point_before_start in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..8, proptest::prelude::any::<u32>(), 0u64..12_000_000),
+                0..250,
+            ),
+        ) {
+            let build = || {
+                let load = ClosedLoop::new(users)
+                    .think_time(SimDuration::from_millis(5))
+                    .warmup(SimDuration::from_millis(3));
+                if coalesced {
+                    load.coalesce(SimDuration::from_millis(1))
+                } else {
+                    load
+                }
+            };
+            let mut load = build();
+            let mut ctx = HandCtx::new(users);
+            let mut latest = None;
+            let mut retired = Vec::new();
+            if point_before_start {
+                latest = Some(Point {
+                    bare: rollback_point(&load),
+                    durable: durable_bytes(&load),
+                    ctx: ctx.clone(),
+                    started: false,
+                });
+            }
+            load.start(&mut ctx);
+            proptest::prop_assert_eq!(
+                journal_len(&load),
+                0,
+                "start must not journal the population"
+            );
+            for (op, pick, think_ns) in ops {
+                match op {
+                    0..=2 => ctx.fire_next(&mut load),
+                    3 | 4 => ctx.respond(&mut load, pick as usize, think_ns),
+                    5 => {
+                        retired.extend(latest.take().map(|p: Point| p.bare));
+                        latest = Some(Point {
+                            bare: rollback_point(&load),
+                            durable: durable_bytes(&load),
+                            ctx: ctx.clone(),
+                            started: true,
+                        });
+                        proptest::prop_assert_eq!(journal_len(&load), 0, "a new point trims");
+                    }
+                    6 => {
+                        let Some(p) = &latest else { continue };
+                        // An odd pick restores twice with nothing in between.
+                        for _ in 0..=(pick & 1) {
+                            roll_back(&mut load, &p.bare).expect("the latest point restores");
+                            proptest::prop_assert_eq!(&durable_bytes(&load), &p.durable);
+                            proptest::prop_assert_eq!(journal_len(&load), 0);
+                        }
+                        ctx = p.ctx.clone();
+                        if !p.started {
+                            load.start(&mut ctx);
+                            proptest::prop_assert_eq!(journal_len(&load), 0);
+                        }
+                    }
+                    _ => {
+                        let Some(stale) = retired.get(pick as usize % retired.len().max(1)) else {
+                            continue;
+                        };
+                        let before = durable_bytes(&load);
+                        let got = roll_back(&mut load, stale);
+                        proptest::prop_assert!(matches!(got, Err(SnapError::Corrupt(_))), "{:?}", got);
+                        proptest::prop_assert_eq!(durable_bytes(&load), before);
+                    }
+                }
+            }
+            // Another loop's point, even of an identical configuration.
+            let foreign = rollback_point(&build());
+            let before = durable_bytes(&load);
+            let got = roll_back(&mut load, &foreign);
+            proptest::prop_assert!(matches!(got, Err(SnapError::Corrupt(_))), "{:?}", got);
+            proptest::prop_assert_eq!(durable_bytes(&load), before);
+        }
+    }
+
+    #[test]
+    fn a_journal_that_outgrows_the_table_becomes_a_copy() {
+        let mut load = ClosedLoop::new(4)
+            .think_time(SimDuration::from_millis(5))
+            .coalesce(SimDuration::from_millis(1));
+        let mut ctx = HandCtx::new(1);
+        load.start(&mut ctx);
+        let bare = rollback_point(&load);
+        let at = durable_bytes(&load);
+        let env = ctx.clone();
+        assert!(load.table.journal.borrow().recording);
+        for i in 0..200 {
+            ctx.fire_next(&mut load);
+            ctx.respond(&mut load, i, 1_500_000);
+            let len = journal_len(&load);
+            assert!(len <= 4, "journal of {len} entries for 4 users");
+        }
+        assert!(!load.table.journal.borrow().recording, "folded into a copy");
+        roll_back(&mut load, &bare).expect("restores from the copy");
+        assert_eq!(durable_bytes(&load), at);
+        ctx = env;
+        ctx.fire_next(&mut load);
+        roll_back(&mut load, &bare).expect("and again");
+        assert_eq!(durable_bytes(&load), at);
     }
 
     #[test]

@@ -501,11 +501,16 @@ pub trait SnapDriver: Driver {
 /// One cell: a serial engine plus its wrapped driver, and the reusable
 /// speculation scratch (micro-snapshot buffer, replay bookkeeping). The
 /// scratch buffers are warm after the first wide round. From then on a
-/// micro-snapshot allocates nothing in the engine or the shard state
-/// (tests/snap_alloc.rs checks the engine); a `loadgen::ClosedLoop` driver
-/// adds one allocation, its key-sorted bucket list. A rollback's restore
-/// does allocate: the calendar, the scheduler's task table and the
-/// driver's user table are rebuilt in fresh allocations.
+/// micro-snapshot allocates nothing in the engine, the shard state or a
+/// `loadgen::ClosedLoop` driver (tests/snap_alloc.rs checks the engine and
+/// the loop). Into the bare buffer the loop writes a rollback point, not
+/// its user table: it journals each later park and release, and a restore
+/// undoes them, so it costs O(the round's changes), not O(population). The
+/// buffer therefore obeys the rollback-point contract of
+/// `simcore::snap::SnapWriter::bare`: it restores only into this cell, and
+/// only until the next micro-snapshot. A rollback's engine restore does
+/// allocate: the calendar and the scheduler's task table are rebuilt in
+/// fresh allocations.
 struct Cell<D> {
     engine: Engine,
     driver: ShardDriver<D>,
@@ -548,9 +553,10 @@ impl<D: SnapDriver> Cell<D> {
         self.snap_buf = w.into_bare();
     }
 
-    /// Rolls the cell back to its last [`Cell::micro_save`]. Bare
-    /// snapshots restore into the engine that wrote them moments ago, so
-    /// a decode error here is a bug, not an I/O condition.
+    /// Rolls the cell back to its last [`Cell::micro_save`], as often as
+    /// the fixpoint needs. Bare snapshots restore into the engine and
+    /// driver that wrote them moments ago, so a decode error (a retired
+    /// rollback point included) is a bug, not an I/O condition.
     fn micro_restore(&mut self) {
         self.rollbacks += 1;
         self.replayed_events += self.engine.events_processed() - self.ev_at_snap;

@@ -150,6 +150,9 @@ impl std::error::Error for SnapError {}
 #[derive(Debug)]
 pub struct SnapWriter {
     buf: Vec<u8>,
+    /// Opened by [`SnapWriter::bare`]: an in-RAM rollback point, not a
+    /// durable snapshot.
+    bare: bool,
 }
 
 impl Default for SnapWriter {
@@ -164,7 +167,7 @@ impl SnapWriter {
         let mut buf = Vec::with_capacity(4096);
         buf.extend_from_slice(&SNAP_MAGIC);
         buf.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-        SnapWriter { buf }
+        SnapWriter { buf, bare: false }
     }
 
     /// A *bare* writer for in-RAM micro-snapshots: no magic, no version, no
@@ -174,12 +177,33 @@ impl SnapWriter {
     /// allocation in this layer. Close with [`SnapWriter::into_bare`];
     /// reopen with [`SnapReader::bare`].
     ///
-    /// Bare buffers never leave RAM: they carry no checksum and no version,
-    /// so they must only be read back by the same process that wrote them
-    /// (the speculative-rollback path in `microsvc::shard`).
+    /// A bare buffer is a *rollback point*, which need not be a copy of
+    /// state. It never leaves RAM and carries no checksum or version. An
+    /// object may write less than its full state into it: `loadgen::ClosedLoop` writes its
+    /// scalars and a journal mark, then records an undo entry for every
+    /// later change to its user table. Hence the contract:
+    ///
+    /// - a bare buffer restores only into the object that wrote it (or a
+    ///   clone taken after the write);
+    /// - only the object's latest point restores: writing a new bare
+    ///   snapshot of the object retires the previous one;
+    /// - the latest point may be restored any number of times.
+    ///
+    /// Restoring a retired point, or another object's, must fail with
+    /// [`SnapError::Corrupt`] rather than resume from the wrong state. Objects
+    /// that write a full copy satisfy the contract trivially. Durable
+    /// snapshots ([`SnapWriter::new`]) keep the full byte layout. The
+    /// speculative-rollback path in `microsvc::shard` is the one user.
     pub fn bare(mut buf: Vec<u8>) -> Self {
         buf.clear();
-        SnapWriter { buf }
+        SnapWriter { buf, bare: true }
+    }
+
+    /// Whether this writer was opened with [`SnapWriter::bare`] — that is,
+    /// whether objects may write a rollback point instead of their state.
+    #[inline]
+    pub fn is_bare(&self) -> bool {
+        self.bare
     }
 
     /// Closes a [`SnapWriter::bare`] writer: returns the raw body with no
@@ -299,6 +323,8 @@ pub struct SnapReader<'a> {
     /// The body: everything between the version and the trailer magic.
     buf: &'a [u8],
     pos: usize,
+    /// Opened by [`SnapReader::bare`]: the buffer is a rollback point.
+    bare: bool,
 }
 
 impl<'a> SnapReader<'a> {
@@ -340,16 +366,30 @@ impl<'a> SnapReader<'a> {
         Ok(SnapReader {
             buf: &buf[..trailer_at],
             pos: 8,
+            bare: false,
         })
     }
 
     /// A reader over a [`SnapWriter::bare`] buffer: no envelope to validate,
     /// the whole slice is the body. The usual corruption defenses (checksum,
     /// version) are intentionally absent — bare buffers are process-local
-    /// scratch for the speculative-rollback fast path, written and read
-    /// within one run.
+    /// rollback points for the speculative fast path, written and read
+    /// within one run. The rollback-point contract on [`SnapWriter::bare`]
+    /// applies: hand the reader only the latest bare buffer written by the
+    /// object being restored.
     pub fn bare(buf: &'a [u8]) -> Self {
-        SnapReader { buf, pos: 0 }
+        SnapReader {
+            buf,
+            pos: 0,
+            bare: true,
+        }
+    }
+
+    /// Whether this reader was opened with [`SnapReader::bare`] — that is,
+    /// whether it holds a rollback point rather than a durable snapshot.
+    #[inline]
+    pub fn is_bare(&self) -> bool {
+        self.bare
     }
 
     #[inline]
@@ -367,7 +407,8 @@ impl<'a> SnapReader<'a> {
         Ok(slice)
     }
 
-    /// Verifies that the next item is the named section.
+    /// Verifies that the next item is the named section. A match allocates
+    /// nothing, so restores can check sections on their hot path.
     pub fn section(&mut self, name: &str) -> Result<(), SnapError> {
         let bad = |found: String| SnapError::BadSection {
             expected: name.to_string(),
@@ -377,9 +418,9 @@ impl<'a> SnapReader<'a> {
         if tag != SECTION_TAG {
             return Err(bad(format!("<non-section byte {tag:#04x}>")));
         }
-        let found = self.str()?;
-        if found != name {
-            return Err(bad(found));
+        let found = self.bytes()?;
+        if found != name.as_bytes() {
+            return Err(bad(String::from_utf8_lossy(found).into_owned()));
         }
         Ok(())
     }
@@ -774,6 +815,7 @@ mod tests {
     #[test]
     fn bare_round_trip_preserves_everything() {
         let mut w = SnapWriter::bare(Vec::new());
+        assert!(w.is_bare() && !SnapWriter::new().is_bare());
         w.section("micro");
         w.u64(7);
         w.f64(-0.0);
@@ -782,6 +824,7 @@ mod tests {
         // No envelope: body starts at byte 0 and there is no trailer.
         assert_eq!(buf[0], SECTION_TAG);
         let mut r = SnapReader::bare(&buf);
+        assert!(r.is_bare() && !SnapReader::new(&sample()).unwrap().is_bare());
         r.section("micro").expect("micro");
         assert_eq!(r.u64().unwrap(), 7);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());

@@ -2,15 +2,16 @@
 //!
 //! Adaptive and speculative shard rounds save every cell into a reused bare
 //! buffer once per round (`microsvc::shard`). Once that buffer and the
-//! engine are warm, `Engine::snap_save` must not touch the heap at all, and
-//! `ClosedLoop::snap_save` may make one allocation: its key-sorted bucket
-//! list. This binary installs a counting global allocator to prove it; the
-//! counter is per thread, so tests running in parallel do not see each
-//! other's allocations.
+//! engine are warm, `Engine::snap_save` must not touch the heap at all.
+//! Into a bare buffer `ClosedLoop::snap_save` only takes a rollback point,
+//! which allocates nothing either, and rolling back to a point with nothing
+//! to undo allocates nothing. This binary installs a counting global
+//! allocator to prove it; the counter is per thread, so tests running in
+//! parallel do not see each other's allocations.
 
 use loadgen::ClosedLoop;
 use microsvc::{Deployment, Engine, EngineParams};
-use simcore::{SimDuration, SimTime, SnapWriter};
+use simcore::{SimDuration, SimTime, SnapReader, SnapWriter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -106,7 +107,7 @@ fn warm_engine_micro_snapshot_allocates_nothing() {
 }
 
 #[test]
-fn warm_closed_loop_micro_snapshot_allocates_once() {
+fn warm_closed_loop_micro_snapshot_allocates_nothing() {
     let (_engine, load) = mid_run_cell();
     let mut buf = Vec::new();
     for _ in 0..2 {
@@ -118,9 +119,27 @@ fn warm_closed_loop_micro_snapshot_allocates_once() {
         let mut w = SnapWriter::bare(std::mem::take(&mut buf));
         let n = allocations_in(|| load.snap_save(&mut w));
         buf = w.into_bare();
-        assert!(
-            n <= 1,
-            "ClosedLoop::snap_save allocated {n} times; only the sorted bucket list may"
+        assert_eq!(
+            n, 0,
+            "ClosedLoop::snap_save allocated {n} time(s) taking a rollback point"
+        );
+    }
+}
+
+#[test]
+fn rolling_back_an_untouched_closed_loop_allocates_nothing() {
+    let (_engine, mut load) = mid_run_cell();
+    let mut w = SnapWriter::bare(Vec::new());
+    load.snap_save(&mut w);
+    let point = w.into_bare();
+    for _ in 0..3 {
+        let n = allocations_in(|| {
+            load.snap_restore(&mut SnapReader::bare(&point))
+                .expect("the latest point restores");
+        });
+        assert_eq!(
+            n, 0,
+            "a rollback with nothing to undo allocated {n} time(s)"
         );
     }
 }

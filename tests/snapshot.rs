@@ -403,3 +403,103 @@ fn resume_into_a_different_population_is_rejected_not_mis_resumed() {
         "expected a config-mismatch diagnostic, got {err:?}"
     );
 }
+
+/// Re-seals the FNV-64 trailer of a tampered snapshot, so the envelope
+/// validates and only the decoder's own checks stand in the way.
+fn reseal(bytes: &mut [u8]) {
+    let trailer_at = bytes.len() - 8;
+    let checksum = fnv64(&bytes[..trailer_at]);
+    bytes[trailer_at..].copy_from_slice(&checksum.to_le_bytes());
+}
+
+#[test]
+fn a_resealed_absurd_spare_count_is_rejected_not_allocated() {
+    // The spare count sits 24 bytes before the trailer (then high water and
+    // parked). Reserving 2^40 empty vectors would abort the process.
+    let (_engine, load) = zen2_cell_mid_run();
+    let mut w = SnapWriter::new();
+    load.snap_save(&mut w);
+    let mut bytes = w.finish();
+    let spare_at = bytes.len() - 12 - 24;
+    bytes[spare_at..spare_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    reseal(&mut bytes);
+    let mut fresh = ClosedLoop::new(load.users()).coalesce(SimDuration::from_millis(1));
+    let got = fresh.snap_restore(&mut SnapReader::new(&bytes).expect("resealed"));
+    assert!(
+        matches!(&got, Err(SnapError::Corrupt(msg)) if msg.contains("spare")),
+        "{got:?}"
+    );
+}
+
+/// A durable snapshot of a 4-user coalesced loop whose user table is
+/// written field by field in the pinned layout.
+fn closed_loop_with_table(
+    deadlines: &[u64],
+    buckets: &[(u64, &[u32])],
+    [spare, high_water, parked]: [u64; 3],
+) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.section("closed-loop");
+    w.u64(4);
+    w.bool(true);
+    w.u64(0);
+    w.u64(0);
+    w.u64(0);
+    w.bool(false);
+    w.u64s(deadlines);
+    w.usize(buckets.len());
+    for &(key, ids) in buckets {
+        w.u64(key);
+        w.u32s(ids);
+    }
+    w.u64(spare);
+    w.u64(high_water);
+    w.u64(parked);
+    w.finish()
+}
+
+#[test]
+fn inconsistent_closed_loop_tables_are_corrupt() {
+    let restore = |bytes: Vec<u8>| {
+        let mut load = ClosedLoop::new(4).coalesce(SimDuration::from_millis(1));
+        load.snap_restore(&mut SnapReader::new(&bytes).expect("well-formed envelope"))
+    };
+    let deadlines = [10, 20, 30, 40];
+    let ok = closed_loop_with_table(&deadlines, &[(1, &[0, 2]), (3, &[1])], [1, 4, 3]);
+    assert_eq!(restore(ok), Ok(()), "the hand-written layout must decode");
+    assert_eq!(restore(closed_loop_with_table(&[], &[], [0, 0, 0])), Ok(()));
+    let cases: [(&str, Vec<u8>); 7] = [
+        (
+            "deadline table neither empty nor one slot per user",
+            closed_loop_with_table(&[10, 20, 30], &[], [0, 0, 0]),
+        ),
+        (
+            "bucket id past the population",
+            closed_loop_with_table(&deadlines, &[(1, &[0, 4])], [0, 2, 2]),
+        ),
+        (
+            "parked user before start",
+            closed_loop_with_table(&[], &[(1, &[0])], [0, 1, 1]),
+        ),
+        (
+            "parked is not the users in buckets",
+            closed_loop_with_table(&deadlines, &[(1, &[0, 2]), (3, &[1])], [0, 4, 2]),
+        ),
+        (
+            "duplicate bucket key",
+            closed_loop_with_table(&deadlines, &[(1, &[0]), (1, &[1])], [0, 2, 2]),
+        ),
+        (
+            "high water above the population",
+            closed_loop_with_table(&deadlines, &[], [0, 5, 0]),
+        ),
+        (
+            "more spare vectors than ever held a user",
+            closed_loop_with_table(&deadlines, &[(1, &[0])], [3, 2, 1]),
+        ),
+    ];
+    for (what, bytes) in cases {
+        let got = restore(bytes);
+        assert!(matches!(got, Err(SnapError::Corrupt(_))), "{what}: {got:?}");
+    }
+}
