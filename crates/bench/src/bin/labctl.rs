@@ -19,7 +19,6 @@ use cputopo::{cpulist, Topology, TopologyBuilder};
 use loadgen::ClosedLoop;
 use microsvc::{
     Deployment, Engine, EngineParams, InstanceConfig, LbPolicy, ServiceId, WindowPolicy,
-    DEFAULT_LOOKAHEAD_CAP,
 };
 use scaleup::placement::Policy;
 use scaleup::{tuner, Lab};
@@ -39,9 +38,8 @@ fn usage() -> ! {
          --measure MS                           measurement window ms (default 1500)\n\
          --seed N                               master seed (default 42)\n\
          --shards N                             parallel-in-run cells (default 1)\n\
-         --speculate                            speculative window sync (fixed wide rounds)\n\
-         --lookahead-cap N                      round width cap in windows; alone it\n\
-                                                selects adaptive sync (default 32)\n\
+         --lookahead-cap N                      adaptive window sync, round width cap\n\
+                                                in windows (default: conservative)\n\
          --cpus LIST                            confine all instances to a cpulist\n\
          --trace N                              sample every N-th request, print waterfalls\n\
          --plot                                 ASCII plot of per-window throughput"
@@ -96,7 +94,6 @@ struct Options {
     measure_ms: u64,
     seed: u64,
     shards: u32,
-    speculate: bool,
     lookahead_cap: Option<u32>,
     cpus: Option<String>,
     trace: Option<u64>,
@@ -114,7 +111,6 @@ fn parse_args() -> Options {
         measure_ms: 1500,
         seed: 42,
         shards: 1,
-        speculate: false,
         lookahead_cap: None,
         cpus: None,
         trace: None,
@@ -140,7 +136,6 @@ fn parse_args() -> Options {
             "--measure" => opts.measure_ms = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => opts.seed = value().parse().unwrap_or_else(|_| usage()),
             "--shards" => opts.shards = value().parse().unwrap_or_else(|_| usage()),
-            "--speculate" => opts.speculate = true,
             "--lookahead-cap" => {
                 opts.lookahead_cap = Some(value().parse().unwrap_or_else(|_| usage()));
             }
@@ -152,18 +147,6 @@ fn parse_args() -> Options {
         }
     }
     opts
-}
-
-/// `--speculate` selects fixed wide rounds; `--lookahead-cap` alone
-/// selects adaptive widening; neither keeps the conservative default.
-fn shard_policy(speculate: bool, cap: Option<u32>) -> WindowPolicy {
-    match (speculate, cap) {
-        (true, cap) => WindowPolicy::Speculative {
-            cap: cap.unwrap_or(DEFAULT_LOOKAHEAD_CAP),
-        },
-        (false, Some(cap)) => WindowPolicy::Adaptive { cap },
-        (false, None) => WindowPolicy::Conservative,
-    }
 }
 
 fn main() {
@@ -232,7 +215,12 @@ fn main() {
         shard_cross_permille: 50,
         shard_latency: SimDuration::from_millis(1),
         shard_workers: 0,
-        shard_policy: shard_policy(opts.speculate, opts.lookahead_cap),
+        // `--lookahead-cap` selects adaptive widening; without it the
+        // conservative default stays.
+        shard_policy: match opts.lookahead_cap {
+            Some(cap) => WindowPolicy::Adaptive { cap },
+            None => WindowPolicy::Conservative,
+        },
     };
     if lab.shards > 1 {
         // Sharded runs go through the lab's cell builder; per-request traces

@@ -8,9 +8,7 @@
 //! speedup of the timer-wheel/slab/memo work stays visible in CI artifacts.
 
 use loadgen::ClosedLoop;
-use microsvc::{
-    mix_seed, Deployment, Engine, EngineParams, ShardSpec, ShardedRun, SyncStats, WindowPolicy,
-};
+use microsvc::{mix_seed, Deployment, Engine, EngineParams, ShardSpec, ShardedRun, SyncStats};
 use simcore::{SimDuration, SimTime};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -144,11 +142,6 @@ struct Scenario {
     /// part of the scenario: sharded event totals are deterministic *per
     /// shard count*, so the gate must always compare like with like.
     shards: u32,
-    /// Window-synchronization policy for sharded scenarios. Never changes
-    /// the simulated result — only how many barrier crossings (and
-    /// rollbacks) it takes to get there, which is exactly what the
-    /// speculative scenario benchmarks.
-    policy: WindowPolicy,
 }
 
 /// The flagship scenario — identical to the one the baseline was timed on.
@@ -161,7 +154,6 @@ const FLAGSHIP: Scenario = Scenario {
     measure_ms: 2000,
     coalesce_ms: 0,
     shards: 1,
-    policy: WindowPolicy::Conservative,
 };
 
 /// A desktop-sized scenario cheap enough for CI smoke runs.
@@ -174,7 +166,6 @@ const DESKTOP: Scenario = Scenario {
     measure_ms: 300,
     coalesce_ms: 0,
     shards: 1,
-    policy: WindowPolicy::Conservative,
 };
 
 /// The mega scenario: one million closed-loop users on the 2-socket
@@ -192,7 +183,6 @@ const MEGA: Scenario = Scenario {
     measure_ms: 1500,
     coalesce_ms: 5,
     shards: 1,
-    policy: WindowPolicy::Conservative,
 };
 
 /// The sharded mega scenario: ten million closed-loop users split over 8
@@ -211,29 +201,6 @@ const MEGA_SHARDED: Scenario = Scenario {
     measure_ms: 1500,
     coalesce_ms: 10,
     shards: 8,
-    policy: WindowPolicy::Conservative,
-};
-
-/// [`MEGA_SHARDED`] under speculative window synchronization: identical
-/// workload, cells, and (by the determinism contract) simulated results —
-/// only the barrier count, the rollback work, and the wall clock differ.
-/// Riding the same gate baseline as every other scenario, it keeps the
-/// pay-as-you-go synchronization honest in CI: the `barriers_per_sim_sec`
-/// figures this pair writes to `results/BENCH_simperf.json` are the
-/// headline comparison (conservative crosses two barriers per 1 ms window;
-/// speculation amortizes them over whole rounds).
-const MEGA_SPECULATIVE: Scenario = Scenario {
-    name: "teastore_mega_speculative",
-    big_machine: true,
-    users: 10_000_000,
-    think_ms: 100_000,
-    warmup_ms: 500,
-    measure_ms: 1500,
-    coalesce_ms: 10,
-    shards: 8,
-    policy: WindowPolicy::Speculative {
-        cap: microsvc::DEFAULT_LOOKAHEAD_CAP,
-    },
 };
 
 /// Measured result of one scenario (best of `reps` repetitions).
@@ -264,9 +231,8 @@ pub struct PerfRun {
     pub live_bytes: Option<i64>,
     /// Window-synchronization counters (sharded scenarios only).
     pub sync: Option<SyncStats>,
-    /// Barrier crossings per simulated second (sharded scenarios only) —
-    /// the figure the window policies compete on. Deterministic per
-    /// (scenario, policy), unlike the wall-clock columns.
+    /// Barrier crossings per simulated second (sharded scenarios only).
+    /// Deterministic per scenario, unlike the wall-clock columns.
     pub barriers_per_sim_sec: Option<f64>,
 }
 
@@ -368,7 +334,7 @@ fn run_once_sharded(s: &Scenario) -> OnceResult {
             (engine, load)
         })
         .collect();
-    let mut run = ShardedRun::new(cells, spec).with_policy(s.policy);
+    let mut run = ShardedRun::new(cells, spec);
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     #[cfg(feature = "alloc-count")]
     let alloc_before = alloc_count::snapshot();
@@ -453,7 +419,6 @@ pub fn run(quick: bool) -> (String, String) {
                 measure(&DESKTOP, 2),
                 measure(&MEGA, 1),
                 measure(&MEGA_SHARDED, 1),
-                measure(&MEGA_SPECULATIVE, 1),
             ],
             Vec::new(),
         )
@@ -466,7 +431,6 @@ pub fn run(quick: bool) -> (String, String) {
                 flagship,
                 measure(&MEGA, 2),
                 measure(&MEGA_SHARDED, 2),
-                measure(&MEGA_SPECULATIVE, 2),
             ],
             pairs,
         )
@@ -509,8 +473,8 @@ fn render(runs: &[PerfRun], pairs: &[(f64, f64)]) -> (String, String) {
         if let (Some(sync), Some(bpss)) = (r.sync, r.barriers_per_sim_sec) {
             let _ = writeln!(
                 table,
-                "{:<30} sync: {} barriers ({:.0}/sim-s), {} rounds, {} rollbacks, {} replayed events",
-                "", sync.barriers, bpss, sync.rounds, sync.rollbacks, sync.replayed_events
+                "{:<30} sync: {} barriers ({:.0}/sim-s), {} rounds",
+                "", sync.barriers, bpss, sync.rounds
             );
         }
         if let (Some(allocs), Some(live)) = (r.allocations, r.live_bytes) {
@@ -573,8 +537,8 @@ fn render(runs: &[PerfRun], pairs: &[(f64, f64)]) -> (String, String) {
         if let (Some(sync), Some(bpss)) = (r.sync, r.barriers_per_sim_sec) {
             let _ = write!(
                 json,
-                ", \"barriers\": {}, \"barriers_per_sim_sec\": {:.1}, \"rounds\": {}, \"rollbacks\": {}, \"replayed_events\": {}",
-                sync.barriers, bpss, sync.rounds, sync.rollbacks, sync.replayed_events
+                ", \"barriers\": {}, \"barriers_per_sim_sec\": {:.1}, \"rounds\": {}",
+                sync.barriers, bpss, sync.rounds
             );
         }
         if let (Some(allocs), Some(live)) = (r.allocations, r.live_bytes) {
@@ -766,22 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn mega_speculative_is_the_sharded_twin_under_speculation() {
-        // Same workload and cell count as the conservative scenario, so
-        // (by the determinism contract) the simulated columns of the pair
-        // must agree and only the sync/wall columns differ.
-        assert_eq!(MEGA_SPECULATIVE.users, MEGA_SHARDED.users);
-        assert_eq!(MEGA_SPECULATIVE.think_ms, MEGA_SHARDED.think_ms);
-        assert_eq!(MEGA_SPECULATIVE.coalesce_ms, MEGA_SHARDED.coalesce_ms);
-        assert_eq!(MEGA_SPECULATIVE.shards, MEGA_SHARDED.shards);
-        assert_eq!(MEGA_SHARDED.policy, WindowPolicy::Conservative);
-        assert!(matches!(
-            MEGA_SPECULATIVE.policy,
-            WindowPolicy::Speculative { cap } if cap > 1
-        ));
-    }
-
-    #[test]
     fn sharded_runs_render_sync_columns() {
         let spec = Scenario {
             name: "sync_smoke",
@@ -792,7 +740,6 @@ mod tests {
             measure_ms: 200,
             coalesce_ms: 0,
             shards: 2,
-            policy: WindowPolicy::Speculative { cap: 8 },
         };
         let (run, _) = measure_paired(&spec, 1, false);
         let sync = run.sync.expect("sharded run must report sync stats");
@@ -802,7 +749,6 @@ mod tests {
         let (table, json) = render(std::slice::from_ref(&run), &[]);
         assert!(table.contains("sync:"), "table: {table}");
         assert!(json.contains("\"barriers_per_sim_sec\""), "json: {json}");
-        assert!(json.contains("\"rollbacks\""), "json: {json}");
         // The gate parser must still find the scenario despite the extra
         // fields.
         assert_eq!(parse_runs(&json).len(), 1);

@@ -72,9 +72,9 @@ pub struct Lab {
     /// Worker threads for sharded runs; `0` = one per available core.
     /// Never affects results, only wall-clock.
     pub shard_workers: usize,
-    /// Window-synchronization policy for sharded runs (conservative,
-    /// adaptive, or speculative). Never affects results, only how many
-    /// barrier crossings the run spends. Ignored when `shards == 1`.
+    /// Window-synchronization policy for sharded runs (conservative or
+    /// adaptive). Never affects results, only how many barrier crossings
+    /// the run spends. Ignored when `shards == 1`.
     pub shard_policy: WindowPolicy,
 }
 
@@ -150,12 +150,6 @@ impl Lab {
     /// Overrides the sharded worker-thread count (`0` = one per core).
     pub fn with_shard_workers(mut self, workers: usize) -> Self {
         self.shard_workers = workers;
-        self
-    }
-
-    /// Overrides the sharded window-synchronization policy.
-    pub fn with_shard_policy(mut self, policy: WindowPolicy) -> Self {
-        self.shard_policy = policy;
         self
     }
 

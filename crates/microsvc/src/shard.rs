@@ -17,17 +17,17 @@
 //! value types, so the result is byte-identical regardless of how many
 //! worker threads carried the cells or how their phase-A writes interleaved.
 //!
-//! Window synchronization is **pay-as-you-go** ([`WindowPolicy`]). The
-//! conservative policy crosses a barrier at every base window, traffic or
-//! not. The adaptive policy widens rounds geometrically across message-free
-//! rounds (snapping back to one window on the first cross-cell send); the
-//! speculative policy always runs rounds of a fixed width. Rounds wider
-//! than one window execute *optimistically* past the intermediate barriers:
-//! if a message lands inside the speculated region, the receiving cell
-//! rolls back to a cheap in-RAM micro-snapshot (the bare-mode fast path of
-//! `simcore::snap`) and replays, injecting each message at exactly the
-//! barrier instant the conservative loop would have used — so the merged
-//! result is byte-identical under every policy.
+//! Every run advances in **rounds** of one loop ([`ShardedRun::run`]); the
+//! [`WindowPolicy`] only picks each round's width. A conservative round is
+//! exactly one base window: run to the barrier, merge, inject. The adaptive
+//! policy widens rounds geometrically across message-free rounds (snapping
+//! back to one window on the first cross-cell send). A round wider than one
+//! window executes *optimistically* past the intermediate barriers: if a
+//! message lands inside it, the receiving cell rolls back to a cheap in-RAM
+//! micro-snapshot (the bare-mode fast path of `simcore::snap`) and replays,
+//! injecting each message at exactly the barrier instant a one-window round
+//! would have used — so the merged result is byte-identical under both
+//! policies.
 //!
 //! Determinism contract: for a fixed `(seed, spec, workload)` the run is
 //! byte-reproducible across reruns, worker-thread counts, window policies,
@@ -175,16 +175,17 @@ impl Default for ShardSpec {
     }
 }
 
-/// Default round-width cap, in base windows, for the adaptive and
-/// speculative policies (the `--lookahead-cap` default).
+/// Default round-width cap, in base windows, for the adaptive policy (the
+/// `--lookahead-cap` default).
 pub const DEFAULT_LOOKAHEAD_CAP: u32 = 32;
 
-/// Window-synchronization policy of a sharded run. Every policy produces
+/// Window-synchronization policy of a sharded run. Both policies produce
 /// byte-identical simulation results; they differ only in how many barrier
 /// crossings — and, for wide rounds, rollbacks — they spend getting there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WindowPolicy {
-    /// One barrier round per base window: the always-on lockstep loop.
+    /// One round per base window: two barriers per window, no snapshot,
+    /// no rollback.
     #[default]
     Conservative,
     /// Pay-as-you-go: rounds widen geometrically (×2 per message-free
@@ -196,13 +197,6 @@ pub enum WindowPolicy {
         /// Maximum round width, in base windows.
         cap: u32,
     },
-    /// Fixed wide rounds: always `cap` base windows per round, regardless
-    /// of traffic. Maximum barrier elision, paid for with rollback-replay
-    /// work proportional to the cross-traffic rate.
-    Speculative {
-        /// Round width, in base windows.
-        cap: u32,
-    },
 }
 
 /// Synchronization counters of a sharded run, accumulated across
@@ -210,10 +204,9 @@ pub enum WindowPolicy {
 /// (seed, spec, workload, policy), independent of the worker count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncStats {
-    /// Barrier rounds executed (== windows under the conservative policy).
+    /// Barrier rounds executed (== base windows under the conservative
+    /// policy).
     pub rounds: u64,
-    /// Base windows covered by those rounds.
-    pub windows: u64,
     /// Lockstep barrier crossings per worker (every worker crosses the
     /// same sequence, so this is policy cost, not thread count × cost).
     pub barriers: u64,
@@ -577,7 +570,7 @@ impl<D: SnapDriver> Cell<D> {
     /// Rolls the cell back to its round-start micro-snapshot and replays
     /// the round, injecting **all** of `scratch` (its gathered early
     /// inbound messages in merge order) at exactly the barrier instants
-    /// the conservative loop would have used: run to the group's barrier,
+    /// one-window rounds would have used: run to the group's barrier,
     /// inject the group, continue. The injected set is optimistic — a
     /// peer's concurrent replay may withdraw some of it — so the driver
     /// runs in stale-tolerant mode ([`ShardState::optimistic`]) and the
@@ -621,11 +614,11 @@ impl<D: SnapDriver> Cell<D> {
     // simlint: hotpath(end)
 }
 
-/// The barrier instant at which the conservative loop would inject `msg`
+/// The barrier instant at which one-window rounds would inject `msg`
 /// into its destination: the end of the base window containing the send
 /// instant (`arrival - latency`; the latency doubles as the window),
 /// clamped to the round target — an `until` cut injects at the cut,
-/// exactly like the conservative loop's short final window. Messages sent
+/// exactly like a one-window round's short final window. Messages sent
 /// at time zero take the *first* barrier (`window`), matching a loop that
 /// starts at `window_end = ZERO + window`.
 fn inject_barrier(msg: &Msg, window: SimDuration, target: SimTime) -> SimTime {
@@ -735,20 +728,9 @@ impl<D: Driver + Send> ShardedRun<D> {
         }
     }
 
-    /// The window-synchronization policy (default conservative).
-    pub fn policy(&self) -> WindowPolicy {
-        self.policy
-    }
-
-    /// Sets the policy for subsequent [`ShardedRun::run`] calls. Any
-    /// policy yields byte-identical simulation results; only the
-    /// synchronization cost (and [`SyncStats`]) changes, so switching
-    /// mid-run — e.g. across a checkpoint/resume boundary — is sound.
-    pub fn set_policy(&mut self, policy: WindowPolicy) {
-        self.policy = policy;
-    }
-
-    /// Builder form of [`ShardedRun::set_policy`].
+    /// Sets the window-synchronization policy (default conservative).
+    /// Both policies yield byte-identical simulation results; only the
+    /// synchronization cost (and [`SyncStats`]) changes.
     #[must_use]
     pub fn with_policy(mut self, policy: WindowPolicy) -> Self {
         self.policy = policy;
@@ -795,132 +777,32 @@ impl<D: Driver + Send> ShardedRun<D> {
         let engines: Vec<&Engine> = self.cells.iter().map(|c| &c.engine).collect();
         Engine::merged_report(&engines)
     }
-
-    /// The always-on lockstep loop: one barrier round per base window.
-    /// Byte-identical for any `workers >= 1`; see [`ShardedRun::run`].
-    fn run_conservative(&mut self, until: SimTime, workers: usize) {
-        let n = self.cells.len();
-        let workers = workers.clamp(1, n);
-        let window = self.spec.latency;
-        let start_t = self.window_end;
-        let started = self.started;
-        let inboxes: Vec<Mutex<Vec<Msg>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        let idle: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let final_t = AtomicU64::new(start_t.as_nanos());
-        let windows_run = AtomicU64::new(0);
-        let chunk_len = n.div_ceil(workers);
-        // `chunks_mut` can yield fewer chunks than `workers` when the cell
-        // count doesn't divide evenly; size the barrier by actual chunks.
-        let barrier = Barrier::new(n.div_ceil(chunk_len));
-
-        std::thread::scope(|s| {
-            for (wi, chunk) in self.cells.chunks_mut(chunk_len).enumerate() {
-                let base = wi * chunk_len;
-                let inboxes = &inboxes;
-                let idle = &idle;
-                let barrier = &barrier;
-                let final_t = &final_t;
-                let windows_run = &windows_run;
-                s.spawn(move || {
-                    let mut t = start_t;
-                    let mut first = !started;
-                    let mut windows = 0u64;
-                    loop {
-                        let target = t.min(until);
-                        // Phase A: advance owned cells to the barrier and
-                        // publish their outboxes. Only the per-destination
-                        // inbox mutex is shared; cell state is worker-local.
-                        for cell in chunk.iter_mut() {
-                            if !cell.engine.is_stopped() {
-                                if first {
-                                    cell.engine.run(&mut cell.driver, target);
-                                } else {
-                                    cell.engine.run_resumed(&mut cell.driver, target);
-                                }
-                            }
-                            for msg in cell.driver.st.outbox.drain(..) {
-                                inboxes[msg.dst as usize]
-                                    .lock()
-                                    .expect("inbox lock")
-                                    .push(msg);
-                            }
-                        }
-                        first = false;
-                        barrier.wait();
-                        // Phase B: merge owned cells' inbound messages in
-                        // (arrival, src, seq) order — a total order, so the
-                        // phase-A interleaving is irrelevant — and probe for
-                        // idleness. No two workers touch the same cell.
-                        for (ci, cell) in chunk.iter_mut().enumerate() {
-                            let mut msgs = std::mem::take(
-                                &mut *inboxes[base + ci].lock().expect("inbox lock"),
-                            );
-                            msgs.sort_unstable();
-                            for msg in msgs {
-                                cell.engine.inject_timer_at(msg.arrival, SHARD_TOKEN);
-                                cell.driver.st.pending.push(Reverse(msg));
-                            }
-                            let cell_idle = cell.engine.is_stopped()
-                                || cell.engine.next_event_time().is_none();
-                            idle[base + ci].store(cell_idle, Ordering::Release);
-                        }
-                        barrier.wait();
-                        windows += 1;
-                        // Every worker sees identical flags here, so the
-                        // stop decision cannot depend on the worker count.
-                        if target >= until
-                            || idle.iter().all(|f| f.load(Ordering::Acquire))
-                        {
-                            if base == 0 {
-                                final_t.store(t.as_nanos(), Ordering::Release);
-                                windows_run.store(windows, Ordering::Release);
-                            }
-                            break;
-                        }
-                        t += window;
-                    }
-                });
-            }
-        });
-
-        self.window_end = SimTime::from_nanos(final_t.load(Ordering::Acquire));
-        self.started = true;
-        let windows = windows_run.load(Ordering::Acquire);
-        self.stats.rounds += windows;
-        self.stats.windows += windows;
-        self.stats.barriers += windows * 2;
-    }
 }
 
 impl<D: SnapDriver + Send> ShardedRun<D> {
     /// Advances the run until `until`, every cell stops, or the whole
     /// system goes idle — whichever comes first — using up to `workers`
     /// threads under the configured [`WindowPolicy`]. The result is
-    /// byte-identical for any `workers >= 1` and any policy (see
+    /// byte-identical for any `workers >= 1` and either policy (see
     /// DESIGN.md § "Sharded execution" for the argument).
+    ///
+    /// The run advances in **rounds** of `g` consecutive base windows:
+    /// always one under the conservative policy, per [`adaptive_width`]
+    /// under the adaptive one. A one-window round runs every cell to the
+    /// barrier, merges and injects — two barriers, no snapshot, no
+    /// fixpoint. A wider round runs optimistically from a micro-snapshot;
+    /// messages that land *inside* it trigger micro-rollback of the
+    /// receiving cells and a replay that injects each message at exactly
+    /// the barrier instant a one-window round would have used
+    /// ([`inject_barrier`]).
     ///
     /// May be called repeatedly (the run resumes at the next window
     /// barrier), including after [`ShardedRun::snap_restore`].
     pub fn run(&mut self, until: SimTime, workers: usize) {
-        match self.policy {
-            WindowPolicy::Conservative => self.run_conservative(until, workers),
-            WindowPolicy::Adaptive { cap } => self.run_rounds(until, workers, cap.max(1), true),
-            WindowPolicy::Speculative { cap } => {
-                self.run_rounds(until, workers, cap.max(1), false);
-            }
-        }
-    }
-
-    /// The wide-round loop shared by the adaptive and speculative
-    /// policies. A **round** is `g` consecutive base windows executed
-    /// optimistically in one go (`g` fixed at `cap` for speculative,
-    /// adaptive per [`adaptive_width`]); messages that land *inside* a
-    /// round trigger micro-rollback of the receiving cells and a replay
-    /// that injects each message at exactly the conservative barrier
-    /// instant ([`inject_barrier`]). Single-window rounds skip the
-    /// snapshot and the fixpoint entirely — two barriers, the same cost
-    /// as the conservative loop.
-    fn run_rounds(&mut self, until: SimTime, workers: usize, cap: u32, adaptive: bool) {
+        let cap = match self.policy {
+            WindowPolicy::Conservative => 1,
+            WindowPolicy::Adaptive { cap } => cap.max(1),
+        };
         let n = self.cells.len();
         let workers = workers.clamp(1, n);
         let window = self.spec.latency;
@@ -935,9 +817,10 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
         let idle: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
         let final_t = AtomicU64::new(start_t.as_nanos());
         let sync_rounds = AtomicU64::new(0);
-        let sync_windows = AtomicU64::new(0);
         let sync_barriers = AtomicU64::new(0);
         let chunk_len = n.div_ceil(workers);
+        // `chunks_mut` can yield fewer chunks than `workers` when the cell
+        // count doesn't divide evenly; size the barrier by actual chunks.
         let barrier = Barrier::new(n.div_ceil(chunk_len));
 
         std::thread::scope(|s| {
@@ -949,14 +832,13 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
                 let barrier = &barrier;
                 let final_t = &final_t;
                 let sync_rounds = &sync_rounds;
-                let sync_windows = &sync_windows;
                 let sync_barriers = &sync_barriers;
                 s.spawn(move || {
                     // simlint: hotpath(begin) — window-advance and merge
                     // regions: per-round work over pre-sized shared slots
                     // and per-cell scratch buffers.
                     // `t` is the end of the round's first base window;
-                    // every barrier the conservative loop would cross lies
+                    // every barrier a one-window round would cross lies
                     // on the grid {k·window, k ≥ 1} and rounds start on it.
                     let mut t = start_t;
                     let mut first = !started;
@@ -965,9 +847,9 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
                     // the round width is a pure function of (spec, message
                     // history) — never of thread scheduling.
                     let mut quiet: u32 = 0;
-                    let (mut rounds, mut windows, mut barriers) = (0u64, 0u64, 0u64);
+                    let (mut rounds, mut barriers) = (0u64, 0u64);
                     loop {
-                        let g = if adaptive { adaptive_width(quiet, cap) } else { cap };
+                        let g = adaptive_width(quiet, cap);
                         let round_end = t + window * u64::from(g - 1);
                         let target = round_end.min(until);
                         let round_first = first;
@@ -1112,7 +994,6 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
                         barriers += 1;
                         barrier.wait();
                         rounds += 1;
-                        windows += u64::from(g);
                         // Every worker sees identical flags and counted the
                         // same round traffic, so neither the stop decision
                         // nor the next round's width can depend on the
@@ -1121,14 +1002,19 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
                             || idle.iter().all(|f| f.load(Ordering::Acquire))
                         {
                             if base == 0 {
-                                final_t.store(round_end.as_nanos(), Ordering::Release);
+                                // Resume at the barrier closing the window
+                                // that holds `target`, not at `round_end`:
+                                // an `until` cut mid-round must not skip the
+                                // round's remaining barriers.
+                                let w = window.as_nanos();
+                                let resume = target.as_nanos().div_ceil(w).saturating_mul(w);
+                                final_t.store(resume.max(t.as_nanos()), Ordering::Release);
                                 sync_rounds.store(rounds, Ordering::Release);
-                                sync_windows.store(windows, Ordering::Release);
                                 sync_barriers.store(barriers, Ordering::Release);
                             }
                             break;
                         }
-                        quiet = if adaptive && round_msgs == 0 { quiet + 1 } else { 0 };
+                        quiet = if round_msgs == 0 { quiet.saturating_add(1) } else { 0 };
                         t = round_end + window;
                     }
                     // simlint: hotpath(end)
@@ -1139,7 +1025,6 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
         self.window_end = SimTime::from_nanos(final_t.load(Ordering::Acquire));
         self.started = true;
         self.stats.rounds += sync_rounds.load(Ordering::Acquire);
-        self.stats.windows += sync_windows.load(Ordering::Acquire);
         self.stats.barriers += sync_barriers.load(Ordering::Acquire);
         self.stats.rollbacks = self.cells.iter().map(|c| c.rollbacks).sum();
         self.stats.replayed_events = self.cells.iter().map(|c| c.replayed_events).sum();
@@ -1270,20 +1155,36 @@ fn restore_shard_state(st: &mut ShardState, r: &mut SnapReader<'_>) -> Result<()
         let src = r.u32()?;
         let dst = r.u32()?;
         let seq = r.u64()?;
-        let payload = match r.u8()? {
-            0 => Payload::Call {
+        let kind = r.u8()?;
+        let payload = match kind {
+            0 => Some(Payload::Call {
                 client: r.u64()?,
                 class: r.u32()?,
-            },
-            1 => Payload::Reply {
+            }),
+            1 => Some(Payload::Reply {
                 client: r.u64()?,
                 class: r.u32()?,
                 outcome: decode_outcome(r.u8()?)?,
-            },
-            k => {
-                // simlint: allow(H3) — error path; a corrupt snapshot aborts the run
-                return Err(SnapError::Corrupt(format!("unknown payload kind {k}")));
-            }
+            }),
+            _ => None,
+        };
+        // A pending message was merged into this cell from another one; its
+        // reply goes back to `src`, and a call's client id must leave the
+        // `src` bits of the foreign id `FOREIGN_BIT | src << 32 | client`
+        // intact.
+        let possible = |payload: &Payload| {
+            let narrow = match *payload {
+                Payload::Call { client, .. } => client <= u64::from(u32::MAX),
+                Payload::Reply { .. } => true,
+            };
+            narrow && dst == st.cell && src < st.cells && src != st.cell
+        };
+        let Some(payload) = payload.filter(possible) else {
+            // simlint: allow(H3) — error path; a corrupt snapshot aborts the run
+            return Err(SnapError::Corrupt(format!(
+                "cell {} of {} holds an impossible pending message: kind {kind}, {src} -> {dst}",
+                st.cell, st.cells
+            )));
         };
         st.pending.push(Reverse(Msg {
             arrival,

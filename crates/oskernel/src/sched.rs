@@ -499,7 +499,7 @@ impl Scheduler {
     /// constructed over the same machine first.
     ///
     /// Everything streams straight into the writer with no intermediate
-    /// collections — the speculative shard rounds take this snapshot once
+    /// collections — wide adaptive shard rounds take this snapshot once
     /// per round per cell. The layout is that of the equivalent
     /// `Vec<u32>` (affinity), `Vec<(SimDuration, u64, u64)>` (runqueue) and
     /// `Vec<Option<u64>>` (running table) saves.

@@ -8,8 +8,8 @@
 //! the work-stealing sweep pool, which may only change *when* a point runs.
 //!
 //! A fingerprint is the experiment's text table, except where the table
-//! embeds host measurements: E24, E27, E28 and E30 pin their simulated
-//! columns instead. `lint` is the one unpinned entry, since it reports on
+//! embeds host measurements: E24, E27 and E28 pin their simulated columns
+//! instead. `lint` is the one unpinned entry, since it reports on
 //! the source tree rather than a simulation.
 //!
 //! Every (entry, leg) run is cached, so the per-family tests kept from
@@ -56,7 +56,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("e27", 0x6d4b_c8f4_dd5d_30a9),
     ("e28", 0x2541_f7c8_add9_b88d),
     ("e29", 0x674d_2227_498a_d819),
-    ("e30", 0x0aad_ff47_fd0e_f198),
     ("snap", 0xfa84_1743_d7b8_2407),
     ("chaos", 0xb78d_ea27_7ad2_39e7),
     ("a1", 0x9959_43d2_c0ed_d43b),

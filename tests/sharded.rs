@@ -155,23 +155,6 @@ fn sharded_checkpoint_roundtrip_is_invisible() {
 }
 
 #[test]
-fn speculative_battery_matches_conservative_goldens() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Speculation must be invisible: the very same per-shard-count goldens
-    // the conservative battery pins, now with fixed 32-window rounds and
-    // micro-rollback on every late cross-cell message.
-    for &(shards, e3, e8, e18, e19, e22) in SHARDED_GOLDENS {
-        let mut config = sharded_config(shards, 0);
-        config.lab.shard_policy = WindowPolicy::Speculative { cap: 32 };
-        assert_golden("E3 speculative", shards, &exp::e3(&config).table, e3);
-        assert_golden("E8 speculative", shards, &exp::e8(&config).table, e8);
-        assert_golden("E18 speculative", shards, &exp::e18(&config).table, e18);
-        assert_golden("E19 speculative", shards, &exp::e19(&config).table, e19);
-        assert_golden("E22 speculative", shards, &exp::e22(&config).table, e22);
-    }
-}
-
-#[test]
 fn adaptive_battery_matches_conservative_goldens() {
     let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Adaptive widening (geometric growth, snap-back on traffic) must be
@@ -247,9 +230,9 @@ mod lookahead_props {
         }
 
         /// Window policy is pure overhead accounting: for any cross-traffic
-        /// rate and round-width cap, the adaptive and speculative runs match
-        /// the conservative run byte for byte — float bits included — and
-        /// stay invariant between 1 and 8 workers.
+        /// rate and round-width cap, the adaptive run matches the
+        /// conservative run byte for byte — float bits included — and stays
+        /// invariant between 1 and 8 workers.
         #[test]
         fn window_policies_are_byte_identical(
             latency_us in 100u64..5_000,
@@ -263,10 +246,7 @@ mod lookahead_props {
                 run(latency_us, cross, shards, users, 1, seed, WindowPolicy::Conservative);
             let adaptive =
                 run(latency_us, cross, shards, users, 8, seed, WindowPolicy::Adaptive { cap });
-            let speculative =
-                run(latency_us, cross, shards, users, 8, seed, WindowPolicy::Speculative { cap });
             prop_assert_eq!(&conservative, &adaptive);
-            prop_assert_eq!(&conservative, &speculative);
         }
     }
 }
@@ -277,19 +257,28 @@ mod rollback {
     use microsvc::{
         mix_seed, Deployment, Engine, EngineParams, ShardSpec, ShardedRun, SyncStats,
     };
-    use simcore::SimTime;
+    use simcore::snap::fnv64;
+    use simcore::{SimTime, SnapError, SnapReader, SnapWriter};
     use std::sync::Arc;
+
+    /// The end of every run below; the closed loops stop at 200 ms.
+    const UNTIL: SimDuration = SimDuration::from_millis(800);
 
     /// A dense little sharded run built directly (the `Lab` wrapper hides
     /// [`ShardedRun::sync_stats`]): 4 cells, heavy cross-traffic, fine
     /// window — a rollback pressure-cooker.
-    fn direct(policy: WindowPolicy, workers: usize) -> (String, SyncStats) {
+    fn build(policy: WindowPolicy) -> ShardedRun<ClosedLoop> {
+        build_with(policy, 300)
+    }
+
+    /// [`build`] at another cross-traffic rate.
+    fn build_with(policy: WindowPolicy, cross_permille: u32) -> ShardedRun<ClosedLoop> {
         let store = teastore::TeaStore::with_demand_scale(0.25);
         let app = store.app();
         let topo = Arc::new(cputopo::Topology::desktop_8c());
         let spec = ShardSpec {
             cells: 4,
-            cross_permille: 300,
+            cross_permille,
             latency: SimDuration::from_micros(250),
         };
         let mix: Vec<f64> = app.classes().iter().map(|c| c.weight).collect();
@@ -310,10 +299,13 @@ mod rollback {
                 (engine, load)
             })
             .collect();
-        let mut run = ShardedRun::new(cells, spec).with_policy(policy);
-        run.run(SimTime::ZERO + SimDuration::from_millis(800), workers);
+        ShardedRun::new(cells, spec).with_policy(policy)
+    }
+
+    /// The run's merged report, float bits included.
+    fn footprint(run: &ShardedRun<ClosedLoop>) -> String {
         let report = run.report();
-        let footprint = format!(
+        format!(
             "{} completed={} ev={} mean={} p99={} thr={:016x}",
             report.summary(),
             report.completed,
@@ -321,19 +313,25 @@ mod rollback {
             report.mean_latency,
             report.latency_p99,
             report.throughput_rps.to_bits()
-        );
-        (footprint, run.sync_stats())
+        )
+    }
+
+    fn direct(policy: WindowPolicy, workers: usize) -> (String, SyncStats) {
+        let mut run = build(policy);
+        run.run(SimTime::ZERO + UNTIL, workers);
+        (footprint(&run), run.sync_stats())
     }
 
     #[test]
     fn speculation_actually_rolls_back_and_still_matches() {
         let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Guard against a vacuous differential: under 300‰ cross-traffic a
-        // 16-window speculative round *must* take rollbacks — if it doesn't,
-        // the battery above is silently testing the no-speculation path.
+        // Guard against a vacuous differential: under 300‰ cross-traffic
+        // adaptive rounds of up to 16 windows *must* take rollbacks — if
+        // they don't, the policy tests above silently test the
+        // no-speculation path.
         let (base, base_stats) = direct(WindowPolicy::Conservative, 2);
-        let (spec, spec_stats) = direct(WindowPolicy::Speculative { cap: 16 }, 2);
-        assert_eq!(base, spec, "speculative run diverged from conservative");
+        let (spec, spec_stats) = direct(WindowPolicy::Adaptive { cap: 16 }, 2);
+        assert_eq!(base, spec, "adaptive run diverged from conservative");
         assert!(
             spec_stats.rollbacks > 0,
             "no rollbacks under heavy cross-traffic — speculation never engaged: {spec_stats:?}"
@@ -347,38 +345,122 @@ mod rollback {
             base_stats.barriers
         );
         // The stats themselves are deterministic: same run, same counters.
-        let (_, again) = direct(WindowPolicy::Speculative { cap: 16 }, 8);
+        let (_, again) = direct(WindowPolicy::Adaptive { cap: 16 }, 8);
         assert_eq!(spec_stats, again, "sync stats depend on the worker count");
     }
 
     #[test]
     fn speculative_checkpoint_roundtrip_is_invisible() {
         let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Snapshot at a barrier mid-speculative-run, restore into fresh
-        // cells, resume speculatively: same bytes as the straight run.
-        use scaleup::Lab;
-        let store = teastore::TeaStore::with_demand_scale(0.25);
-        let mut lab = Lab::small(9).with_users(24).with_shards(3);
-        lab.shard_cross_permille = 150;
-        lab.shard_latency = SimDuration::from_micros(500);
-        lab.shard_policy = WindowPolicy::Speculative { cap: 8 };
-        lab.warmup = SimDuration::from_millis(100);
-        lab.measure = SimDuration::from_millis(300);
-        let app = store.app();
-        let deployment = Deployment::uniform(app, &lab.topo, 2, 4);
-        let straight = lab.run_app(app, deployment.clone(), microsvc::LbPolicy::RoundRobin);
-        let resumed = lab
-            .clone()
-            .with_checkpoint(true)
-            .run_app(app, deployment, microsvc::LbPolicy::RoundRobin);
-        assert_eq!(straight.completed, resumed.completed);
-        assert_eq!(straight.events_processed, resumed.events_processed);
-        assert_eq!(straight.mean_latency, resumed.mean_latency);
-        assert_eq!(straight.latency_p99, resumed.latency_p99);
-        assert_eq!(
-            straight.throughput_rps.to_bits(),
-            resumed.throughput_rps.to_bits()
-        );
-        assert_eq!(straight.summary(), resumed.summary());
+        // Snapshot at a barrier mid-run under adaptive rounds, restore into
+        // fresh cells, resume: same bytes as the straight run. The resumed
+        // half must itself roll back, or the restore never fed a replay.
+        let policy = WindowPolicy::Adaptive { cap: 8 };
+        let (straight, straight_stats) = direct(policy, 2);
+        assert!(straight_stats.rollbacks > 0, "{straight_stats:?}");
+        let mut first = build(policy);
+        first.run(SimTime::ZERO + SimDuration::from_millis(100), 2);
+        let mut w = SnapWriter::new();
+        first.snap_save(&mut w);
+        let bytes = w.finish();
+        let mut resumed = build(policy);
+        resumed
+            .snap_restore(&mut SnapReader::new(&bytes).expect("valid envelope"))
+            .expect("restores into identically built cells");
+        resumed.run(SimTime::ZERO + UNTIL, 2);
+        assert_eq!(straight, footprint(&resumed), "checkpoint round-trip diverged");
+        let stats = resumed.sync_stats();
+        assert!(stats.rollbacks > 0, "the resumed half never rolled back: {stats:?}");
+        assert!(stats.replayed_events > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn adaptive_runs_cut_mid_round_resume_on_the_window_grid() {
+        let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // `run(until)` may stop inside a wide round. The next call must
+        // resume at the barrier closing the window that holds `until`, not
+        // at the round's end: skipping the round's remaining barriers would
+        // inject later messages past their conservative instants. Sparse
+        // traffic keeps the rounds wide; the cuts fall off the round grid.
+        for cross in [5, 30] {
+            let mut straight = build_with(WindowPolicy::Conservative, cross);
+            straight.run(SimTime::ZERO + UNTIL, 2);
+            let want = footprint(&straight);
+            for k in 0..8 {
+                let cut = SimTime::ZERO + SimDuration::from_micros(20_000 + k * 3_917);
+                let mut run = build_with(WindowPolicy::Adaptive { cap: 32 }, cross);
+                run.run(cut, 2);
+                run.run(SimTime::ZERO + UNTIL, 2);
+                assert_eq!(want, footprint(&run), "cross {cross}‰, cut at {cut}");
+            }
+        }
+    }
+
+    /// Byte offset and source cell of the first pending message of the
+    /// first `shard-state` section whose first pending message is a call.
+    fn first_pending_call(bytes: &[u8]) -> Option<(usize, u32)> {
+        let tag = b"shard-state";
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let mut from = 0;
+        loop {
+            let at = from + bytes[from..].windows(tag.len()).position(|w| w == tag)?;
+            // Three sequence counters, then the pending count.
+            let count_at = at + tag.len() + 24;
+            let msg_at = count_at + 8;
+            // arrival (8), src (4), dst (4), seq (8), then the kind byte.
+            if u64_at(count_at) > 0 && bytes[msg_at + 24] == 0 {
+                let src = u32::from_le_bytes(bytes[msg_at + 8..msg_at + 12].try_into().unwrap());
+                return Some((msg_at, src));
+            }
+            from = at + tag.len();
+        }
+    }
+
+    #[test]
+    fn restore_rejects_impossible_pending_messages() {
+        let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Patch a real barrier snapshot, reseal its checksum, and restore:
+        // a pending message that no cell could have merged into this one
+        // must be `Corrupt`, not a panic at a later barrier (or a reply
+        // that goes nowhere and parks a request forever).
+        let mut run = build(WindowPolicy::Conservative);
+        let mut now = SimTime::ZERO + SimDuration::from_millis(60);
+        let (bytes, msg_at, src) = loop {
+            run.run(now, 2);
+            let mut w = SnapWriter::new();
+            run.snap_save(&mut w);
+            let bytes = w.finish();
+            if let Some((msg_at, src)) = first_pending_call(&bytes) {
+                break (bytes, msg_at, src);
+            }
+            assert!(now < SimTime::ZERO + UNTIL, "no barrier held a pending call");
+            now += run.spec().latency;
+        };
+        let restore = |at: usize, patch: &[u8]| {
+            let mut patched = bytes.clone();
+            patched[at..at + patch.len()].copy_from_slice(patch);
+            let trailer_at = patched.len() - 8;
+            let checksum = fnv64(&patched[..trailer_at]);
+            patched[trailer_at..].copy_from_slice(&checksum.to_le_bytes());
+            let mut fresh = build(WindowPolicy::Conservative);
+            fresh.snap_restore(&mut SnapReader::new(&patched).expect("resealed"))
+        };
+        assert_eq!(restore(0, &[]), Ok(()), "the unpatched snapshot must restore");
+        // Message layout: arrival (8), src (4), dst (4), seq (8), kind (1),
+        // then a call's client (8).
+        let dst = bytes[msg_at + 12..msg_at + 16].to_vec();
+        let cases: [(&str, usize, Vec<u8>); 4] = [
+            ("source cell out of range", msg_at + 8, 4u32.to_le_bytes().to_vec()),
+            ("addressed to another cell", msg_at + 12, src.to_le_bytes().to_vec()),
+            ("sent by the restoring cell", msg_at + 8, dst),
+            ("client id wider than 32 bits", msg_at + 25, (1u64 << 32).to_le_bytes().to_vec()),
+        ];
+        for (what, at, patch) in &cases {
+            let got = restore(*at, patch);
+            assert!(
+                matches!(&got, Err(SnapError::Corrupt(msg)) if msg.contains("impossible pending")),
+                "{what}: {got:?}"
+            );
+        }
     }
 }

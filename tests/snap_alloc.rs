@@ -1,6 +1,6 @@
 //! Allocation budget of the round-start micro-snapshot.
 //!
-//! Adaptive and speculative shard rounds save every cell into a reused bare
+//! Wide adaptive shard rounds save every cell into a reused bare
 //! buffer once per round (`microsvc::shard`). Once that buffer and the
 //! engine are warm, `Engine::snap_save` must not touch the heap at all.
 //! Into a bare buffer `ClosedLoop::snap_save` only takes a rollback point,

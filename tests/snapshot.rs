@@ -338,7 +338,7 @@ fn codec_bytes_match_the_pinned_layout() {
     // The snapshot layout is a contract (`SNAP_VERSION` 1): a codec may get
     // faster, but it must keep writing exactly these bytes. Pinned as the
     // FNV-64 of each full enveloped snapshot. The bare micro-snapshot the
-    // speculative rounds take must be exactly the enveloped body.
+    // wide adaptive rounds take must be exactly the enveloped body.
     let (engine, load) = zen2_cell_mid_run();
     let mut w = SnapWriter::new();
     engine.snap_save(&mut w);
