@@ -1,6 +1,7 @@
 //! Calendar microbenchmarks: schedule/pop/cancel cost of the timer wheel
-//! at small, medium, and huge pending-event populations, plus one
-//! steady-state engine second as the macro reference point.
+//! at small, medium, and huge pending-event populations, the engine's
+//! re-rate churn (arm, cancel, re-arm), plus one steady-state engine second
+//! as the macro reference point.
 //!
 //! The population sizes bracket the regimes the wheel has to be good at:
 //! 1e3 (a quick-config sweep point), 1e5 (the paper configuration), and
@@ -61,8 +62,8 @@ fn bench_calendar(c: &mut Criterion) {
             b.iter(|| {
                 // Schedule 64, cancel half by token, pop the rest — the mix
                 // the engine produces (timeout timers mostly cancelled, a
-                // tail actually firing), so tombstone recycling is on the
-                // measured path.
+                // tail actually firing), so cancellation is on the measured
+                // path.
                 let now = cal.now();
                 let tokens: Vec<_> = (0..64u64)
                     .map(|i| cal.schedule(now + SimDuration::from_micros(1 + i * 7), i))
@@ -71,6 +72,26 @@ fn bench_calendar(c: &mut Criterion) {
                     black_box(cal.cancel(*t));
                 }
                 for _ in 0..32 {
+                    black_box(cal.pop());
+                }
+            })
+        });
+
+        let name = format!("reschedule_churn_{n}");
+        group.bench_function(&name, |b| {
+            let mut cal = prefilled(n);
+            b.iter(|| {
+                // The engine's re-rate pattern: per pop, a task is armed with
+                // a near-term completion and a 3 ms quantum tick, and half
+                // the time a neighbour's re-rate cancels both at once.
+                for i in 0..64u64 {
+                    let now = cal.now();
+                    let done = cal.schedule(now + SimDuration::from_micros(1 + i % 8 * 5), i);
+                    let tick = cal.schedule(now + SimDuration::from_millis(3), i);
+                    if i % 2 == 0 {
+                        black_box(cal.cancel(done));
+                        black_box(cal.cancel(tick));
+                    }
                     black_box(cal.pop());
                 }
             })

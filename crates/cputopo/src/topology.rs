@@ -98,6 +98,8 @@ struct CpuInfo {
     numa: NumaId,
     socket: SocketId,
     smt_index: u32,
+    /// The other thread of this CPU's core on an SMT2 machine.
+    smt_sibling: Option<CpuId>,
 }
 
 /// An immutable machine topology.
@@ -251,6 +253,7 @@ impl Topology {
                 numa: NumaId(0),
                 socket: SocketId(0),
                 smt_index: 0,
+                smt_sibling: None,
             };
             ncpus
         ];
@@ -271,6 +274,8 @@ impl Topology {
                     numa: NumaId(numa),
                     socket: SocketId(socket),
                     smt_index: t,
+                    smt_sibling: (spec.threads_per_core == 2)
+                        .then(|| CpuId((1 - t) * cores + core)),
                 };
             }
         }
@@ -423,11 +428,7 @@ impl Topology {
 
     /// The other SMT thread of this CPU's core, if the core has exactly two.
     pub fn smt_sibling(&self, cpu: CpuId) -> Option<CpuId> {
-        if self.spec.threads_per_core != 2 {
-            return None;
-        }
-        let core = self.core_of(cpu);
-        self.cpus_in_core(core).iter().find(|&c| c != cpu)
+        self.info(cpu).smt_sibling
     }
 
     /// All logical CPUs of a core.
@@ -721,6 +722,36 @@ mod tests {
         let t = TopologyBuilder::new("smt-off").threads_per_core(1).build();
         assert_eq!(t.smt_sibling(CpuId(0)), None);
         assert_eq!(t.num_cpus(), t.num_cores());
+    }
+
+    #[test]
+    fn smt_sibling_table_matches_the_core_scan() {
+        // The definition the table replaced: the other CPU of the core, on
+        // SMT2 machines only.
+        let scan = |t: &Topology, cpu: CpuId| {
+            (t.spec().threads_per_core == 2)
+                .then(|| t.cpus_in_core(t.core_of(cpu)).iter().find(|&c| c != cpu))
+                .flatten()
+        };
+        let machines = [
+            Topology::desktop_8c(),
+            Topology::zen2_2p_128c(),
+            TopologyBuilder::new("smt1").threads_per_core(1).build(),
+            TopologyBuilder::new("smt4").threads_per_core(4).build(),
+        ];
+        for t in &machines {
+            for cpu in t.all_cpus().iter() {
+                assert_eq!(
+                    t.smt_sibling(cpu),
+                    scan(t, cpu),
+                    "{} cpu {cpu:?}",
+                    t.spec().name
+                );
+            }
+        }
+        assert!(machines[2..]
+            .iter()
+            .all(|t| t.all_cpus().iter().all(|c| t.smt_sibling(c).is_none())));
     }
 
     #[test]

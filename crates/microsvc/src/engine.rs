@@ -1936,7 +1936,9 @@ impl Engine {
             quantum_token,
         });
         self.instances[self.workers[worker].instance].rep_cpu = cpu;
-        self.rerate_neighbors(cpu);
+        // `ctx` already counted this worker as running, so its pressure is
+        // exactly what the neighbors now see.
+        self.rerate_neighbors(cpu, Some(ctx.ccx_pressure));
     }
 
     /// Tears down execution on `cpu` (after flushing progress) and re-rates
@@ -1948,7 +1950,7 @@ impl Engine {
             .expect("release_exec on idle cpu");
         self.cal.cancel(exec.done_token);
         self.cal.cancel(exec.quantum_token);
-        self.rerate_neighbors(cpu);
+        self.rerate_neighbors(cpu, None);
     }
 
     /// Adjusts the busy-CPU utilization clocks for `worker`'s service, and
@@ -2027,8 +2029,9 @@ impl Engine {
     }
 
     /// Re-rates every other running task in `cpu`'s L3 domain (their SMT /
-    /// cache-pressure context may have changed).
-    fn rerate_neighbors(&mut self, cpu: CpuId) {
+    /// cache-pressure context may have changed). `pressure` is the CCX's
+    /// current [`Engine::ccx_pressure`] when the caller already has it.
+    fn rerate_neighbors(&mut self, cpu: CpuId, pressure: Option<f64>) {
         let ccx = self.topo.ccx_of(cpu);
         let mut neighbors = std::mem::take(&mut self.cpu_scratch);
         neighbors.clear();
@@ -2044,7 +2047,7 @@ impl Engine {
             // `exec_context` is the identity — so every neighbor sees
             // exactly this CCX pressure. Compute the working-set scan once
             // instead of once per neighbor.
-            let pressure = self.ccx_pressure(ccx);
+            let pressure = pressure.unwrap_or_else(|| self.ccx_pressure(ccx));
             for &c in &neighbors {
                 self.flush_progress(c);
                 let Some(exec) = self.exec[c.index()] else {
@@ -2106,6 +2109,15 @@ impl Engine {
     }
 
     fn rerate_with_ctx(&mut self, cpu: CpuId, exec: CpuExec, ctx: ExecContext) {
+        // `exec.rate` is the memoized factor of `exec.ctx` times
+        // `exec.wall_rate`, so identical inputs reproduce it bit for bit.
+        if ctx.smt_sibling_busy == exec.ctx.smt_sibling_busy
+            && ctx.numa_local == exec.ctx.numa_local
+            && ctx.ccx_pressure.to_bits() == exec.ctx.ccx_pressure.to_bits()
+            && self.wall_rate().to_bits() == exec.wall_rate.to_bits()
+        {
+            return;
+        }
         let rate = self.rate_for(exec.worker, &ctx);
         if (rate - exec.rate).abs() < 1e-12 {
             return;

@@ -11,27 +11,41 @@
 //! Internally this is a hierarchical timer wheel ([`LEVELS`] levels of
 //! [`SLOTS`] slots each; level 0 buckets events into 2^[`GRAIN_BITS`]-ns
 //! slots) backed by a slab of entries with a free list, plus an overflow
-//! binary heap for events beyond the wheel horizon (~73 minutes from the
-//! wheel's current base). Scheduling and cancellation are O(1); popping
+//! binary heap for events in a later top-level block than the wheel's
+//! current base (~73 minutes per block). Each wheel slot is an unordered
+//! vector of slab indices. Scheduling and cancellation are O(1); popping
 //! drains one level-0 slot at a time into a sorted `ready` batch, so the
 //! per-event cost is the amortized cost of one small sort — no hashing, no
 //! global heap rebalance.
 //!
-//! Cancellation is supported through [`EventToken`]s: cancelling drops the
-//! payload immediately and leaves a tombstone in whatever slot the entry
-//! occupies; the tombstone is reclaimed when its slot is drained. Tokens are
-//! generation-tagged, so a stale token (for an event that already fired or
-//! was cancelled) is harmless.
+//! Cancellation is supported through [`EventToken`]s. Every slab entry
+//! records the wheel slot and the position within it that hold it, so
+//! cancelling an entry in the wheel `swap_remove`s it from its slot and
+//! recycles its slab index on the spot: the wheel never holds a dead entry,
+//! and cascading a slot only re-buckets live ones. An entry already moved to
+//! `ready` or parked in the overflow heap leaves a tombstone there instead,
+//! reclaimed when it reaches the front. Tokens are generation-tagged, so a
+//! stale token (for an event that already fired or was cancelled) is
+//! harmless.
+//!
+//! Slab indices are recycled only by `cancel`, by `pop`, and by tombstones
+//! leaving `ready` or the overflow heap in (time, seq) order. None of these
+//! depends on the order of entries within a wheel slot, so a calendar
+//! rebuilt from a snapshot reuses exactly the slab indices the live one
+//! would.
 //!
 //! # Ordering invariant
 //!
 //! All pending events strictly earlier than the wheel base live in the
-//! sorted `ready` batch; the wheel and overflow heap only hold events at or
-//! after the base. An event is placed at the *lowest* level whose block
-//! (256-slot page) contains both the event time and the base — this rule
-//! means a forward slot scan never skips an event that wrapped into the next
-//! block, and cascading a higher-level slot always lands its entries at
-//! strictly lower levels.
+//! sorted `ready` batch; the wheel holds events at or after the base in the
+//! base's top-level block, and the overflow heap holds the events of later
+//! blocks. An event is placed at the *lowest* level whose block (256-slot
+//! page) contains both the event time and the base — this rule means a
+//! forward slot scan never skips an event that wrapped into the next block,
+//! and cascading a higher-level slot always lands its entries at strictly
+//! lower levels. When the base enters a new top-level block, that block's
+//! overflow entries move into the wheel, so every entry's container is a
+//! pure function of its time and the base.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -52,7 +66,7 @@ const WORDS: usize = SLOTS / 64;
 const GRAIN_MASK: u64 = (1 << GRAIN_BITS) - 1;
 
 /// Smallest overflow-heap capacity worth releasing once the heap drains
-/// empty (see `drain_overflow`): below this the allocation is noise, above
+/// empty (see `pull_overflow`): below this the allocation is noise, above
 /// it a dead heap visibly distorts `footprint_bytes`.
 const OVERFLOW_SHRINK_MIN: usize = 1024;
 
@@ -97,11 +111,21 @@ impl EventToken {
     }
 }
 
+/// `Entry::slot` of an entry that sits in no wheel slot: it is in `ready`,
+/// in the overflow heap, or on the free list.
+const NO_SLOT: u32 = u32::MAX;
+
 #[derive(Debug)]
 struct Entry<E> {
     at: u64,
     seq: u64,
     gen: u32,
+    /// The wheel slot holding this entry, as `level * SLOTS + slot`, or
+    /// [`NO_SLOT`].
+    slot: u32,
+    /// This entry's index within its wheel slot (meaningless at `NO_SLOT`).
+    pos: u32,
+    /// A tombstone in `ready` or the overflow heap (never in the wheel).
     cancelled: bool,
     payload: Option<E>,
 }
@@ -177,7 +201,6 @@ pub struct Calendar<E> {
     /// Entry indices with `at < base`, sorted descending by (at, seq) so the
     /// earliest event pops from the back.
     ready: Vec<u32>,
-    scratch: Vec<u32>, // simlint: allow(S1) — scratch, always drained
     /// Everything strictly before `base` is in `ready` (or already popped);
     /// the wheel and overflow only hold events at or after `base`.
     base: u64,
@@ -203,7 +226,6 @@ impl<E> Calendar<E> {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
             overflow: BinaryHeap::new(),
             ready: Vec::new(),
-            scratch: Vec::new(),
             base: 0,
             next_seq: 0,
             live: 0,
@@ -240,8 +262,8 @@ impl<E> Calendar<E> {
     /// Approximate heap bytes held by the calendar's internal structures.
     ///
     /// Counts capacities (what the allocator handed out), not lengths, since
-    /// the slab and slot vectors never shrink. Payload-owned heap memory is
-    /// not visible from here and is excluded.
+    /// the slab and the hot slot vectors never shrink. Payload-owned heap
+    /// memory is not visible from here and is excluded.
     pub fn footprint_bytes(&self) -> usize {
         let slab = self.slab.capacity() * std::mem::size_of::<Entry<E>>();
         let idx = std::mem::size_of::<u32>();
@@ -251,11 +273,8 @@ impl<E> Calendar<E> {
             .flat_map(|l| l.slots.iter())
             .map(|s| s.capacity() * idx)
             .sum();
-        let heap =
-            self.overflow.capacity() * std::mem::size_of::<(Reverse<(u64, u64)>, u32)>();
-        slab + slots
-            + heap
-            + (self.free.capacity() + self.ready.capacity() + self.scratch.capacity()) * idx
+        let heap = self.overflow.capacity() * std::mem::size_of::<(Reverse<(u64, u64)>, u32)>();
+        slab + slots + heap + (self.free.capacity() + self.ready.capacity()) * idx
     }
 
     /// Schedules `payload` to fire at `at`, returning a token that can cancel it.
@@ -326,11 +345,7 @@ impl<E> Calendar<E> {
             let (idx, _gen) = self.alloc(ns, payload);
             match dest {
                 Dest::Ready => self.merge_ready(idx),
-                Dest::Wheel(level, s) => {
-                    let lvl = &mut self.levels[level];
-                    lvl.slots[s].push(idx);
-                    lvl.mark(s);
-                }
+                Dest::Wheel(level, s) => self.push_slot(idx, level, s),
                 Dest::Overflow => {
                     let seq = self.slab[idx as usize].seq;
                     self.overflow.push((Reverse((ns, seq)), idx));
@@ -362,6 +377,8 @@ impl<E> Calendar<E> {
                     at: ns,
                     seq,
                     gen: 0,
+                    slot: NO_SLOT,
+                    pos: 0,
                     cancelled: false,
                     payload: Some(payload),
                 });
@@ -394,15 +411,33 @@ impl<E> Calendar<E> {
     /// fire), `false` if it had already fired or been cancelled.
     pub fn cancel(&mut self, token: EventToken) -> bool {
         let idx = token.idx();
-        match self.slab.get_mut(idx) {
-            Some(e) if e.gen == token.gen() && !e.cancelled && e.payload.is_some() => {
-                e.cancelled = true;
-                e.payload = None;
-                self.live -= 1;
-                true
-            }
-            _ => false,
+        let e = match self.slab.get_mut(idx) {
+            Some(e) if e.gen == token.gen() && !e.cancelled && e.payload.is_some() => e,
+            _ => return false,
+        };
+        e.payload = None;
+        self.live -= 1;
+        if e.slot == NO_SLOT {
+            // In `ready` or the overflow heap: reclaimed at the front.
+            e.cancelled = true;
+            return true;
         }
+        let (level, s, pos) = (
+            e.slot as usize / SLOTS,
+            e.slot as usize % SLOTS,
+            e.pos as usize,
+        );
+        let lvl = &mut self.levels[level];
+        let v = &mut lvl.slots[s];
+        v.swap_remove(pos);
+        if let Some(&moved) = v.get(pos) {
+            self.slab[moved as usize].pos = pos as u32;
+        }
+        if v.is_empty() {
+            lvl.unmark(s);
+        }
+        self.recycle(idx as u32);
+        true
     }
 
     /// Pops the earliest live event, advancing the clock to its timestamp.
@@ -438,6 +473,7 @@ impl<E> Calendar<E> {
     fn recycle(&mut self, idx: u32) {
         let e = &mut self.slab[idx as usize];
         e.gen = e.gen.wrapping_add(1);
+        e.slot = NO_SLOT;
         e.cancelled = false;
         e.payload = None;
         self.free.push(idx);
@@ -445,17 +481,25 @@ impl<E> Calendar<E> {
 
     /// Places an entry (with `at >= base`) into the wheel or overflow heap.
     fn insert_wheel(&mut self, idx: u32, ns: u64) {
-        for level in 0..LEVELS {
-            if block_of(ns, level) == block_of(self.base, level) {
-                let s = slot_of(ns, level);
-                let lvl = &mut self.levels[level];
-                lvl.slots[s].push(idx);
-                lvl.mark(s);
-                return;
+        match (0..LEVELS).find(|&level| block_of(ns, level) == block_of(self.base, level)) {
+            Some(level) => self.push_slot(idx, level, slot_of(ns, level)),
+            None => {
+                let seq = self.slab[idx as usize].seq;
+                self.overflow.push((Reverse((ns, seq)), idx));
             }
         }
-        let seq = self.slab[idx as usize].seq;
-        self.overflow.push((Reverse((ns, seq)), idx));
+    }
+
+    /// Appends an entry to wheel slot `s` of `level`, recording where it sits
+    /// so `cancel` can unlink it.
+    #[inline]
+    fn push_slot(&mut self, idx: u32, level: usize, s: usize) {
+        let lvl = &mut self.levels[level];
+        let e = &mut self.slab[idx as usize];
+        e.slot = (level * SLOTS + s) as u32;
+        e.pos = lvl.slots[s].len() as u32;
+        lvl.slots[s].push(idx);
+        lvl.mark(s);
     }
 
     /// Guarantees the back of `ready` is a live entry, refilling from the
@@ -490,21 +534,23 @@ impl<E> Calendar<E> {
                     self.cascade(level, s);
                 }
             }
-            // Drain the next occupied level-0 slot in the current block.
+            // Drain the next occupied level-0 slot in the current block. An
+            // occupied slot holds only live entries, so the batch is never
+            // empty.
             if let Some(s) = self.levels[0].scan(slot_of(self.base, 0)) {
                 let start = (block_of(self.base, 0) << (GRAIN_BITS + SLOT_BITS))
                     | ((s as u64) << GRAIN_BITS);
-                let window_last = start | GRAIN_MASK;
-                self.ready.extend_from_slice(&self.levels[0].slots[s]);
-                self.levels[0].slots[s].clear();
-                self.levels[0].unmark(s);
-                self.drain_overflow(window_last);
-                self.base = window_last.saturating_add(1);
-                self.sort_ready();
-                if !self.ready.is_empty() {
-                    return true;
+                let slot = &mut self.levels[0].slots[s];
+                for &idx in slot.iter() {
+                    self.slab[idx as usize].slot = NO_SLOT;
                 }
-                continue;
+                self.ready.extend_from_slice(slot);
+                slot.clear();
+                self.levels[0].unmark(s);
+                self.base = (start | GRAIN_MASK).saturating_add(1);
+                self.pull_overflow();
+                self.sort_ready();
+                return true;
             }
             // Current block exhausted: jump to the next occupied slot at the
             // lowest non-empty level and expand it. (Base's own slot at each
@@ -527,16 +573,12 @@ impl<E> Calendar<E> {
             if jumped {
                 continue;
             }
-            // Wheel empty: serve straight from the overflow heap, one
-            // level-0-sized window at a time.
+            // Wheel empty: move the base to the start of the earliest
+            // overflow entry's top-level block and pull that block in.
             if let Some(&(Reverse((at, _)), _)) = self.overflow.peek() {
-                let window_last = at | GRAIN_MASK;
-                self.drain_overflow(window_last);
-                self.base = window_last.saturating_add(1);
-                self.sort_ready();
-                if !self.ready.is_empty() {
-                    return true;
-                }
+                let shift = level_shift(LEVELS - 1) + SLOT_BITS;
+                self.base = (at >> shift) << shift;
+                self.pull_overflow();
                 continue;
             }
             return false;
@@ -544,53 +586,43 @@ impl<E> Calendar<E> {
     }
 
     /// Re-distributes one slot's entries into lower levels relative to the
-    /// current base, reclaiming tombstones along the way.
-    ///
-    /// Entries are processed in (time, seq) order, *not* slot insertion
-    /// order. Pop order never depends on slot order (ready batches are
-    /// sorted), but the order tombstones hit the free list here decides
-    /// which slab slots later events reuse — and a snapshot-restored wheel
-    /// cannot reproduce insertion order. Sorting makes the recycle sequence
-    /// a pure function of the entries themselves, so a restored calendar
-    /// stays byte-identical to the live one it was taken from.
+    /// current base. The slot holds no tombstones, and the order entries
+    /// land in their new slots is unobservable, so no sort is needed.
     fn cascade(&mut self, level: usize, slot: usize) {
-        debug_assert!(self.scratch.is_empty());
-        std::mem::swap(&mut self.scratch, &mut self.levels[level].slots[slot]);
+        let mut entries = std::mem::take(&mut self.levels[level].slots[slot]);
         self.levels[level].unmark(slot);
-        let slab = &self.slab;
-        self.scratch
-            .sort_unstable_by_key(|&i| (slab[i as usize].at, slab[i as usize].seq));
-        for i in 0..self.scratch.len() {
-            let idx = self.scratch[i];
+        for &idx in &entries {
             let e = &self.slab[idx as usize];
-            if e.cancelled {
-                self.recycle(idx);
-            } else {
-                let ns = e.at;
-                debug_assert!(ns >= self.base);
-                self.insert_wheel(idx, ns);
-            }
+            debug_assert!(!e.cancelled && e.at >= self.base);
+            self.insert_wheel(idx, e.at);
         }
-        self.scratch.clear();
-        // Hand the slot its (now empty) buffer back to avoid reallocating it.
-        std::mem::swap(&mut self.scratch, &mut self.levels[level].slots[slot]);
+        // A level-1 slot turns over every 262 µs of simulated time, so it
+        // keeps its buffer. Higher slots turn over at most once per 67 ms;
+        // dropping theirs keeps a far-future burst that passed through from
+        // pinning its peak size in hundreds of idle slots.
+        if level == 1 {
+            entries.clear();
+            self.levels[level].slots[slot] = entries;
+        }
     }
 
-    /// Moves overflow entries with `at <= window_last` into `ready` (unsorted).
-    fn drain_overflow(&mut self, window_last: u64) {
+    /// Moves the overflow entries of the base's top-level block into the
+    /// wheel, reclaiming their tombstones in (time, seq) order.
+    fn pull_overflow(&mut self) {
+        let top = LEVELS - 1;
         while let Some(&(Reverse((at, _)), idx)) = self.overflow.peek() {
-            if at > window_last {
+            if block_of(at, top) != block_of(self.base, top) {
                 break;
             }
             self.overflow.pop();
             if self.slab[idx as usize].cancelled {
                 self.recycle(idx);
             } else {
-                self.ready.push(idx);
+                self.insert_wheel(idx, at);
             }
         }
         // Once every parked entry has migrated out, the heap's retained
-        // capacity is dead weight: the entries now live in the slab/ready
+        // capacity is dead weight: the entries now live in the slab/wheel
         // accounting, and keeping the old allocation around made
         // `footprint_bytes` charge them twice (their live storage plus the
         // ghost heap capacity). A one-shot far-future burst — the bucket-merge
@@ -631,7 +663,8 @@ impl Snap for EventToken {
 /// levels and the overflow heap are rebuilt: given the restored `base`, an
 /// entry's (level, slot) placement is a pure function of its timestamp
 /// (`insert_wheel`), and pop order within a slot is recovered by the sorted
-/// refill, so the rebuilt calendar replays the exact event sequence.
+/// refill, so the rebuilt calendar replays the exact event sequence. Slot
+/// and position bookkeeping is not written; `insert_wheel` re-derives it.
 impl<E: Snap> Snap for Calendar<E> {
     fn save(&self, w: &mut SnapWriter) {
         w.section("calendar");
@@ -667,6 +700,8 @@ impl<E: Snap> Snap for Calendar<E> {
                 at: r.u64()?,
                 seq: r.u64()?,
                 gen: r.u32()?,
+                slot: NO_SLOT,
+                pos: 0,
                 cancelled: r.bool()?,
                 payload: Option::<E>::load(r)?,
             });
@@ -684,13 +719,29 @@ impl<E: Snap> Snap for Calendar<E> {
             if !pending {
                 continue;
             }
-            let at = cal.slab[idx].at;
+            let e = &cal.slab[idx];
+            let at = e.at;
             if at < cal.base {
                 return Err(SnapError::Corrupt(format!(
                     "calendar entry {idx} is before the wheel base but not in ready"
                 )));
             }
-            cal.insert_wheel(idx as u32, at);
+            if !e.cancelled {
+                if e.payload.is_none() {
+                    return Err(SnapError::Corrupt(format!(
+                        "calendar entry {idx} is pending without a payload"
+                    )));
+                }
+                cal.insert_wheel(idx as u32, at);
+            } else if block_of(at, LEVELS - 1) != block_of(cal.base, LEVELS - 1) {
+                // A tombstone of a later block waits in the overflow heap,
+                // exactly where the saved calendar kept it.
+                cal.overflow.push((Reverse((at, e.seq)), idx as u32));
+            } else {
+                // Only snapshots of older builds, which left tombstones in
+                // wheel slots, reach here: reclaim them now.
+                cal.recycle(idx as u32);
+            }
         }
         Ok(cal)
     }
@@ -931,18 +982,36 @@ mod tests {
     /// Live entries accounted by walking every container: wheel slots, the
     /// overflow heap, and the ready batch. Must always equal `len()` — an
     /// entry double-counted (or lost) during migration shows up here.
+    ///
+    /// Also checks the wheel's bookkeeping: every wheel entry is live and
+    /// records its own slot and position, a slot is marked occupied exactly
+    /// when it is non-empty, and the overflow heap holds only later blocks.
     fn accounted_live(cal: &Calendar<u64>) -> usize {
         let is_live = |idx: u32| {
             let e = &cal.slab[idx as usize];
             !e.cancelled && e.payload.is_some()
         };
-        let wheel = cal
-            .levels
+        let mut wheel = 0;
+        for (level, lvl) in cal.levels.iter().enumerate() {
+            for (s, slot) in lvl.slots.iter().enumerate() {
+                assert_eq!(
+                    lvl.occupied(s),
+                    !slot.is_empty(),
+                    "occupancy of {level}/{s}"
+                );
+                for (pos, &idx) in slot.iter().enumerate() {
+                    let e = &cal.slab[idx as usize];
+                    assert!(is_live(idx), "dead entry {idx} in wheel slot {level}/{s}");
+                    assert_eq!((e.slot, e.pos), ((level * SLOTS + s) as u32, pos as u32));
+                    wheel += 1;
+                }
+            }
+        }
+        let top = LEVELS - 1;
+        assert!(cal
+            .overflow
             .iter()
-            .flat_map(|l| l.slots.iter())
-            .flatten()
-            .filter(|&&i| is_live(i))
-            .count();
+            .all(|&(Reverse((at, _)), _)| block_of(at, top) > block_of(cal.base, top)));
         let heap = cal.overflow.iter().filter(|&&(_, i)| is_live(i)).count();
         let ready = cal.ready.iter().filter(|&&i| is_live(i)).count();
         wheel + heap + ready

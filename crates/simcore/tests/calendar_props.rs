@@ -4,10 +4,12 @@
 //! Whatever interleaving of schedule / cancel / pop runs, the wheel must
 //! produce exactly the model's pop order — including same-instant FIFO
 //! tie-breaking and cancel semantics — and agree on `len` and `peek_time`.
+//! A calendar restored from a snapshot mid-sequence must stay
+//! byte-identical to the live one through any further operations.
 
 use proptest::prelude::*;
 use proptest::strategy::Just;
-use simcore::{Calendar, EventToken, SimTime};
+use simcore::{Calendar, EventToken, SimDuration, SimTime, Snap, SnapReader, SnapWriter};
 
 /// Reference model: (at, seq, payload) triples, popped in (at, seq) order.
 #[derive(Default)]
@@ -143,5 +145,145 @@ proptest! {
         let drained: Vec<(u64, u32)> =
             std::iter::from_fn(|| cal.pop().map(|(t, p)| (t.as_nanos(), p))).collect();
         prop_assert_eq!(drained, expected);
+    }
+
+    #[test]
+    fn restored_calendar_stays_byte_identical_to_the_live_one(
+        ops in proptest::collection::vec(op_strategy(), 1..200),
+        split in any::<usize>(),
+    ) {
+        // Snapshot at a random point, then drive the live calendar and the
+        // restored one through the same remaining ops. Slab reuse must not
+        // depend on anything the snapshot drops (such as the order of
+        // entries within a wheel slot), so every later snapshot matches.
+        let split = split % (ops.len() + 1);
+        let mut live: Calendar<u32> = Calendar::new();
+        let mut tokens: Vec<EventToken> = Vec::new();
+        let mut payload = 0u32;
+        for op in &ops[..split] {
+            apply(&mut live, &mut tokens, &mut payload, op);
+        }
+        let mut restored = Calendar::<u32>::load(
+            &mut SnapReader::new(&snapshot(&live)).expect("valid envelope"),
+        )
+        .expect("loads");
+        for op in &ops[split..] {
+            let mut twin_tokens = tokens.clone();
+            let mut twin_payload = payload;
+            let got = apply(&mut restored, &mut twin_tokens, &mut twin_payload, op);
+            let want = apply(&mut live, &mut tokens, &mut payload, op);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(&twin_tokens, &tokens);
+        }
+        prop_assert_eq!(snapshot(&restored), snapshot(&live));
+    }
+}
+
+/// Applies `op` to `cal`, returning what it observed (a pop, a peek or a
+/// cancel result) so two calendars can be compared op by op.
+fn apply(
+    cal: &mut Calendar<u32>,
+    tokens: &mut Vec<EventToken>,
+    payload: &mut u32,
+    op: &Op,
+) -> Option<(u64, u32)> {
+    match *op {
+        Op::Schedule { delta } => {
+            *payload += 1;
+            let at = cal.now().as_nanos().saturating_add(delta);
+            tokens.push(cal.schedule(SimTime::from_nanos(at), *payload));
+            None
+        }
+        Op::Cancel { nth } if !tokens.is_empty() => {
+            let tok = tokens[nth % tokens.len()];
+            Some((u64::from(cal.cancel(tok)), 0))
+        }
+        Op::Cancel { .. } => None,
+        Op::Pop => cal.pop().map(|(t, p)| (t.as_nanos(), p)),
+        Op::Peek => cal.peek_time().map(|t| (t.as_nanos(), 0)),
+    }
+}
+
+fn snapshot(cal: &Calendar<u32>) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    cal.save(&mut w);
+    w.finish()
+}
+
+#[test]
+fn reschedule_churn_keeps_the_snapshot_flat() {
+    // The engine's re-rate pattern at constant live count: every round
+    // schedules a near event and a far one, cancels the far one and pops
+    // the near one. Cancelled entries must not pile up anywhere, so the
+    // snapshot (slab, free list and ready batch) stops growing once the
+    // slab has reached its peak.
+    let mut cal: Calendar<u32> = Calendar::new();
+    for i in 0..16 {
+        cal.schedule(SimTime::from_secs(3600 + i), i as u32); // ballast, never popped
+    }
+    cal.schedule(SimTime::from_micros(2), 0);
+    let mut flat = None;
+    for round in 0..100_000u32 {
+        let now = cal.now();
+        cal.schedule(now + SimDuration::from_micros(2), round);
+        let far = cal.schedule(now + SimDuration::from_secs(10), round);
+        assert!(cal.cancel(far));
+        assert!(cal.pop().is_some());
+        assert_eq!(cal.len(), 17);
+        if round % 1000 == 999 {
+            let len = snapshot(&cal).len();
+            assert_eq!(
+                *flat.get_or_insert(len),
+                len,
+                "snapshot grew by round {round}"
+            );
+        }
+    }
+}
+
+#[test]
+fn older_snapshot_with_a_wheel_tombstone_loads_and_pops_the_live_events() {
+    // Builds that left cancelled entries in wheel slots wrote them as
+    // pending entries with `cancelled` set. Such a snapshot must still load
+    // (the tombstone stays out of the wheel) and pop exactly its live
+    // events, here around a wheel tombstone and an overflow tombstone.
+    let far = 1u64 << 43; // beyond the first top-level wheel block
+    let slab: [(u64, bool, Option<u32>); 5] = [
+        (100, false, Some(10)),
+        (50, true, None), // wheel tombstone
+        (200, false, Some(20)),
+        (far, true, None), // overflow tombstone
+        (far + 1, false, Some(40)),
+    ];
+    let mut w = SnapWriter::new();
+    w.section("calendar");
+    w.u64(0); // now
+    w.u64(0); // base
+    w.u64(slab.len() as u64); // next_seq
+    w.usize(3); // live
+    w.usize(slab.len()); // high_water
+    w.usize(slab.len());
+    for (seq, &(at, cancelled, payload)) in slab.iter().enumerate() {
+        w.u64(at);
+        w.u64(seq as u64);
+        w.u32(0); // gen
+        w.bool(cancelled);
+        payload.save(&mut w);
+    }
+    w.u32s(&[]); // free
+    w.u32s(&[]); // ready
+    let bytes = w.finish();
+    let mut cal = Calendar::<u32>::load(&mut SnapReader::new(&bytes).expect("valid envelope"))
+        .expect("an older snapshot with a wheel tombstone loads");
+    assert_eq!(cal.len(), 3);
+    // The reloaded calendar round-trips, and both pop the same live events.
+    let mut again =
+        Calendar::<u32>::load(&mut SnapReader::new(&snapshot(&cal)).expect("valid envelope"))
+            .expect("reloads");
+    let want = vec![(100, 10), (200, 20), (far + 1, 40)];
+    for c in [&mut cal, &mut again] {
+        let got: Vec<(u64, u32)> =
+            std::iter::from_fn(|| c.pop().map(|(t, p)| (t.as_nanos(), p))).collect();
+        assert_eq!(got, want);
     }
 }
