@@ -1,7 +1,8 @@
 //! Calendar microbenchmarks: schedule/pop/cancel cost of the timer wheel
 //! at small, medium, and huge pending-event populations, the engine's
-//! re-rate churn (arm, cancel, re-arm), plus one steady-state engine second
-//! as the macro reference point.
+//! re-rate churn (arm, cancel, re-arm), an in-place `reschedule` against
+//! the cancel + schedule pair it replaces, plus one steady-state engine
+//! second as the macro reference point.
 //!
 //! The population sizes bracket the regimes the wheel has to be good at:
 //! 1e3 (a quick-config sweep point), 1e5 (the paper configuration), and
@@ -96,6 +97,42 @@ fn bench_calendar(c: &mut Criterion) {
                 }
             })
         });
+
+        // A re-rate moves a pending completion: in place, and spelled out
+        // as the cancel + schedule pair it stands for, at the same pending
+        // count.
+        for in_place in [true, false] {
+            let name = if in_place {
+                format!("rerate_in_place_{n}")
+            } else {
+                format!("rerate_cancel_schedule_{n}")
+            };
+            group.bench_function(&name, |b| {
+                let mut cal = prefilled(n);
+                let now = cal.now();
+                let mut tokens: Vec<_> = (0..64u64)
+                    .map(|i| cal.schedule(now + SimDuration::from_micros(100 + i), i))
+                    .collect();
+                let mut round = 0u64;
+                b.iter(|| {
+                    // 16 passes over the 64 pending completions: 1024 moves.
+                    for _ in 0..16 {
+                        round += 1;
+                        let now = cal.now();
+                        for (i, tok) in tokens.iter_mut().enumerate() {
+                            let at = now + SimDuration::from_micros(50 + (round + i as u64) % 64);
+                            *tok = if in_place {
+                                cal.reschedule(*tok, at, round)
+                            } else {
+                                cal.cancel(*tok);
+                                cal.schedule(at, round)
+                            };
+                        }
+                    }
+                    black_box(cal.len())
+                })
+            });
+        }
     }
 
     group.finish();

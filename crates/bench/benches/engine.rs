@@ -2,7 +2,8 @@
 //!
 //! These measure simulator wall-clock cost (events processed per wall
 //! second), not simulated-system performance — useful for keeping sweeps
-//! affordable as the engine evolves.
+//! affordable as the engine evolves. One scheduler microbenchmark isolates
+//! the wake-time idle search on the paper's machine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use loadgen::ClosedLoop;
@@ -47,5 +48,40 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine);
+/// Wakes and blocks on the paper's 256-CPU machine with one thread of
+/// every core busy: the woken task's last CPU sits on a busy core, so each
+/// wake searches every domain for an idle core before settling for an
+/// idle sibling — the longest idle search the scheduler makes.
+fn bench_sched_wake(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sched");
+    group.sample_size(20);
+    group.warm_up_time(Duration::from_secs(1));
+    group.measurement_time(Duration::from_secs(4));
+
+    group.bench_function("wake_block_zen2_half_busy", |b| {
+        let topo = Arc::new(cputopo::Topology::zen2_2p_128c());
+        let mut sched = oskernel::Scheduler::new(topo.clone(), oskernel::SchedParams::default());
+        for core in 0..topo.num_cores() as u32 {
+            let cpu = cputopo::CpuId(core); // thread 0 of every core
+            let hog = sched.spawn([cpu].into_iter().collect());
+            assert_eq!(sched.wake(hog, SimTime::ZERO).map(|p| p.cpu), Some(cpu));
+        }
+        let task = sched.spawn(topo.all_cpus().clone());
+        b.iter(|| {
+            // 1024 pairs per iteration keep the per-iteration time well
+            // above the timer's resolution.
+            for _ in 0..1024 {
+                let placed = sched
+                    .wake(task, SimTime::ZERO)
+                    .expect("idle siblings remain");
+                black_box(placed.cpu);
+                black_box(sched.block(task));
+            }
+        })
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_engine, bench_sched_wake);
 criterion_main!(benches);

@@ -137,6 +137,12 @@ impl CpuSet {
             .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
     }
 
+    /// The bitmask, 64 CPUs per word (bit `b` of word `w` is CPU
+    /// `64·w + b`), without trailing zero words.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Iterates CPUs in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {

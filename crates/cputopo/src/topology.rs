@@ -116,6 +116,9 @@ pub struct Topology {
     cpus_per_ccd: Vec<CpuSet>,
     cpus_per_numa: Vec<CpuSet>,
     cpus_per_socket: Vec<CpuSet>,
+    /// Every CCX's CPUs in ascending order, CCX-major: CCX `x` owns
+    /// `ccx_cpu_list[x·n .. (x+1)·n]`, `n` = CPUs per CCX.
+    ccx_cpu_list: Vec<CpuId>,
     all: CpuSet,
 }
 
@@ -286,7 +289,14 @@ impl Topology {
         let mut cpus_per_numa = vec![CpuSet::empty(); numas as usize];
         let mut cpus_per_socket = vec![CpuSet::empty(); spec.sockets as usize];
         let mut all = CpuSet::empty();
+        // Within a CCX, ascending CPU ids run thread-major, then core.
+        let per_ccx = spec.cores_per_ccx * spec.threads_per_core;
+        let mut ccx_cpu_list = vec![CpuId(0); ncpus];
         for (i, info) in cpus.iter().enumerate() {
+            let pos = info.ccx.0 * per_ccx
+                + info.smt_index * spec.cores_per_ccx
+                + info.core.0 % spec.cores_per_ccx;
+            ccx_cpu_list[pos as usize] = CpuId(i as u32);
             let cpu = CpuId(i as u32);
             cpus_per_core[info.core.index()].insert(cpu);
             cpus_per_ccx[info.ccx.index()].insert(cpu);
@@ -304,6 +314,7 @@ impl Topology {
             cpus_per_ccd,
             cpus_per_numa,
             cpus_per_socket,
+            ccx_cpu_list,
             all,
         }
     }
@@ -439,6 +450,13 @@ impl Topology {
     /// All logical CPUs of a CCX.
     pub fn cpus_in_ccx(&self, ccx: CcxId) -> &CpuSet {
         &self.cpus_per_ccx[ccx.index()]
+    }
+
+    /// The CPUs of [`Topology::cpus_in_ccx`] as an ascending slice, for
+    /// hot loops that walk an L3 domain without decoding a bitmask.
+    pub fn ccx_cpus(&self, ccx: CcxId) -> &[CpuId] {
+        let n = (self.spec.cores_per_ccx * self.spec.threads_per_core) as usize;
+        &self.ccx_cpu_list[ccx.index() * n..(ccx.index() + 1) * n]
     }
 
     /// All logical CPUs of a CCD.
@@ -752,6 +770,25 @@ mod tests {
         assert!(machines[2..]
             .iter()
             .all(|t| t.all_cpus().iter().all(|c| t.smt_sibling(c).is_none())));
+    }
+
+    #[test]
+    fn ccx_cpu_lists_match_the_ccx_sets() {
+        let machines = [
+            Topology::desktop_8c(),
+            Topology::zen2_2p_128c(),
+            TopologyBuilder::new("smt1").threads_per_core(1).build(),
+            TopologyBuilder::new("smt4")
+                .ccxs_per_ccd(3)
+                .threads_per_core(4)
+                .build(),
+        ];
+        for t in &machines {
+            for x in 0..t.num_ccxs() as u32 {
+                let want: Vec<CpuId> = t.cpus_in_ccx(CcxId(x)).iter().collect();
+                assert_eq!(t.ccx_cpus(CcxId(x)), want.as_slice(), "{}", t.spec().name);
+            }
+        }
     }
 
     #[test]

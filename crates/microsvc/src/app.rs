@@ -53,11 +53,50 @@ impl Demand {
         }
     }
 
+    /// This demand with its log-normal parameters resolved once, for hot
+    /// loops that draw from the same demand many times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a log-normal demand (positive mean and cv) has a
+    /// non-finite mean or cv.
+    pub(crate) fn sampler(&self) -> DemandSampler {
+        if self.mean_us <= 0.0 {
+            DemandSampler::Fixed(0.0)
+        } else if self.cv <= 0.0 {
+            DemandSampler::Fixed(self.mean_us)
+        } else {
+            DemandSampler::LogNormal(LogNormal::from_mean_cv(self.mean_us, self.cv))
+        }
+    }
+
     /// Scales the mean by `factor` (used by what-if experiments).
     pub fn scaled(&self, factor: f64) -> Demand {
         Demand {
             mean_us: self.mean_us * factor,
             cv: self.cv,
+        }
+    }
+}
+
+/// A [`Demand`] ready to draw from: [`DemandSampler::sample_us`] returns
+/// bit for bit what [`Demand::sample_us`] would, from the same random
+/// stream, without re-deriving the log-normal's parameters per draw.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum DemandSampler {
+    /// Always this many microseconds (zero and deterministic demands).
+    Fixed(f64),
+    /// A log-normal draw.
+    LogNormal(LogNormal),
+}
+
+impl DemandSampler {
+    /// Draws one demand sample, in microseconds.
+    #[inline]
+    pub fn sample_us(&self, rng: &mut Rng) -> f64 {
+        match self {
+            DemandSampler::Fixed(us) => *us,
+            DemandSampler::LogNormal(d) => d.sample(rng),
         }
     }
 }
@@ -319,6 +358,29 @@ mod tests {
         let mean: f64 = (0..50_000).map(|_| d.sample_us(&mut rng)).sum::<f64>() / 50_000.0;
         assert!((mean - 100.0).abs() < 2.0, "mean {mean}");
         assert_eq!(d.scaled(2.0).mean_us, 200.0);
+    }
+
+    #[test]
+    fn sampler_draws_exactly_what_the_demand_draws() {
+        let demands = [
+            Demand::ZERO,
+            Demand::fixed_us(5.0),
+            Demand::fixed_us(0.25),
+            Demand::lognormal_us(0.0, 0.4),
+            Demand::lognormal_us(100.0, 0.4),
+            Demand::lognormal_us(3.7, 1.9),
+        ];
+        for d in demands {
+            let sampler = d.sampler();
+            let mut a = Rng::seed_from(7);
+            let mut b = Rng::seed_from(7);
+            for i in 0..2_000 {
+                let (x, y) = (d.sample_us(&mut a), sampler.sample_us(&mut b));
+                assert_eq!(x.to_bits(), y.to_bits(), "{d:?} draw {i}");
+            }
+            // Both consumed the stream identically.
+            assert_eq!(a.next_u64(), b.next_u64(), "{d:?}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! An instance's *representative CPU* is the CPU one of its workers last ran
 //! on — exact for pinned instances, a moving estimate for unpinned ones.
 
-use crate::app::{AppSpec, Demand};
+use crate::app::{AppSpec, DemandSampler};
 use crate::deploy::Deployment;
 use crate::driver::{Driver, EngineCtx, Outcome, ResponseInfo};
 use crate::fault::{FaultCause, FaultPlan};
@@ -102,8 +102,8 @@ impl Default for EngineParams {
 #[derive(Debug, Clone)]
 struct FlatNode {
     service: usize,
-    pre: Demand,
-    post: Demand,
+    pre: DemandSampler,
+    post: DemandSampler,
     /// Depth in the call tree (root = 0), recorded on trace spans.
     depth: u8,
     /// Stages of child node indices (into the class's `nodes`).
@@ -121,8 +121,8 @@ fn flatten_class(root: &crate::app::CallNode) -> FlatClass {
         let idx = nodes.len();
         nodes.push(FlatNode {
             service: node.service.index(),
-            pre: node.pre,
-            post: node.post,
+            pre: node.pre.sampler(),
+            post: node.post.sampler(),
             depth,
             stages: Vec::new(),
         });
@@ -248,6 +248,8 @@ impl RequestInfo {
 #[derive(Debug)]
 struct Instance {
     service: usize,
+    /// The service's working set in bytes, as `f64` for the L3-pressure sum.
+    working_set: f64,
     mem_node: NumaId,
     rep_cpu: CpuId,
     idle_workers: Vec<usize>,
@@ -278,10 +280,15 @@ struct CpuExec {
     since: SimTime,
     gen: u64,
     done_token: EventToken,
-    /// Pending quantum tick, cancelled on teardown/re-rate so stale ticks
-    /// never reach the calendar's hot path.
+    /// The quantum tick of this generation, or [`EventToken::NONE`] when
+    /// the slice ends no later than the quantum (`WorkDone` would cancel the
+    /// tick before it fires; see [`Engine::arm_quantum`]). Cancelled with
+    /// `done_token` on teardown and re-rate.
     quantum_token: EventToken,
 }
+
+/// `Engine::cpu_instance` entry of a CPU that executes nothing.
+const IDLE_CPU: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
@@ -364,6 +371,9 @@ pub struct Engine {
     /// pre-slab `requests.len()` did.
     submitted_total: u64,
     exec: Vec<Option<CpuExec>>,
+    /// Per CPU, the instance whose worker `exec` runs there, or
+    /// [`IDLE_CPU`]: the dense occupancy the contention scans read.
+    cpu_instance: Vec<u32>, // simlint: allow(S1) — derived from `exec`, rebuilt in snap_restore
     next_gen: u64,
     metrics: Metrics,
     sched_stats_baseline: SchedStats,
@@ -395,8 +405,6 @@ pub struct Engine {
     speed_memo: uarch::SpeedMemo, // simlint: allow(S1) — memo, rebuilt on demand
     /// Reusable buffer for load-balancer candidate lists.
     cand_scratch: Vec<Candidate>, // simlint: allow(S1) — scratch, always drained
-    /// Reusable buffer for CPU lists (re-rates, metric resets).
-    cpu_scratch: Vec<CpuId>, // simlint: allow(S1) — scratch, always drained
     /// Events handled by [`run`](Self::run) so far (self-benchmark metric).
     events_processed: u64,
 }
@@ -446,6 +454,7 @@ impl Engine {
             }
             instances.push(Instance {
                 service: service.index(),
+                working_set: app.services()[service.index()].profile.working_set_bytes as f64,
                 mem_node: config.effective_mem_node(&topo),
                 rep_cpu: config.affinity.first().expect("validated non-empty"),
                 idle_workers: worker_ids,
@@ -536,6 +545,7 @@ impl Engine {
             free_requests: Vec::new(),
             submitted_total: 0,
             exec: vec![None; ncpus],
+            cpu_instance: vec![IDLE_CPU; ncpus],
             next_gen: 0,
             metrics,
             sched_stats_baseline: SchedStats::default(),
@@ -553,7 +563,6 @@ impl Engine {
             boost_bucket: 0,
             speed_memo: uarch::SpeedMemo::new(),
             cand_scratch: Vec::new(),
-            cpu_scratch: Vec::new(),
             events_processed: 0,
         }
     }
@@ -1344,6 +1353,7 @@ impl Engine {
         }
         self.flush_progress(cpu);
         let exec = self.exec[cpu.index()].take().expect("checked above");
+        self.cpu_instance[cpu.index()] = IDLE_CPU;
         self.cal.cancel(exec.quantum_token);
         let worker = exec.worker;
         let job_id = self.workers[worker]
@@ -1840,51 +1850,21 @@ impl Engine {
 
     // ----------------------------------------------------- CPU / exec state
 
-    /// The contention context of `worker`'s service on `cpu` right now.
-    ///
-    /// CCX pressure counts each *instance's* working set once — worker
-    /// threads of one instance share its heap — plus 15% per additional
-    /// concurrently-running thread of that instance (private stacks,
-    /// connection buffers), capped at 2× the base footprint.
-    fn exec_context(&self, cpu: CpuId, worker: usize) -> ExecContext {
-        let smt_sibling_busy = self
-            .topo
-            .smt_sibling(cpu)
-            .map(|sib| self.exec[sib.index()].is_some())
-            .unwrap_or(false);
-        let l3 = self.topo.caches().l3_bytes as f64;
-        let ccx = self.topo.ccx_of(cpu);
-        // (instance, running thread count) for this CCX; at most 8 entries.
-        let mut running: [(usize, u32); 16] = [(usize::MAX, 0); 16];
-        let mut n_entries = 0;
-        for c in self.topo.cpus_in_ccx(ccx).iter() {
-            let w = if c == cpu {
-                Some(worker)
-            } else {
-                self.exec[c.index()].map(|e| e.worker)
-            };
-            let Some(w) = w else { continue };
-            let inst = self.workers[w].instance;
-            if let Some(entry) = running[..n_entries].iter_mut().find(|e| e.0 == inst) {
-                entry.1 += 1;
-            } else if n_entries < running.len() {
-                running[n_entries] = (inst, 1);
-                n_entries += 1;
-            }
-        }
-        let mut ws_sum = 0.0;
-        for &(inst, k) in &running[..n_entries] {
-            let service = self.instances[inst].service;
-            let base = self.app.services()[service].profile.working_set_bytes as f64;
-            ws_sum += base * (1.0 + 0.15 * (k.saturating_sub(1)) as f64).min(2.0);
-        }
-        let instance = self.workers[worker].instance;
-        let numa_local = self.instances[instance].mem_node == self.topo.numa_of(cpu);
+    /// The contention context of the task running on `cpu` right now;
+    /// `cpu_instance` must already show it there.
+    fn exec_context(&self, cpu: CpuId) -> ExecContext {
+        let instance = self.cpu_instance[cpu.index()] as usize;
         ExecContext {
-            smt_sibling_busy,
-            ccx_pressure: ws_sum / l3,
-            numa_local,
+            smt_sibling_busy: self.smt_sibling_busy(cpu),
+            ccx_pressure: self.ccx_pressure(self.topo.ccx_of(cpu)),
+            numa_local: self.instances[instance].mem_node == self.topo.numa_of(cpu),
         }
+    }
+
+    fn smt_sibling_busy(&self, cpu: CpuId) -> bool {
+        self.topo
+            .smt_sibling(cpu)
+            .is_some_and(|sib| self.cpu_instance[sib.index()] != IDLE_CPU)
     }
 
     /// Current boosted wall-clock rate, cycles per nanosecond.
@@ -1911,7 +1891,8 @@ impl Engine {
     /// Puts `worker` into execution on `cpu` and schedules its completion.
     fn start_exec(&mut self, cpu: CpuId, worker: usize) {
         debug_assert!(self.exec[cpu.index()].is_none());
-        let ctx = self.exec_context(cpu, worker);
+        self.cpu_instance[cpu.index()] = self.workers[worker].instance as u32;
+        let ctx = self.exec_context(cpu);
         let rate = self.rate_for(worker, &ctx);
         let job_id = self.workers[worker].job.expect("exec requires a job");
         let remaining = self.jobs[job_id as usize].remaining_cycles;
@@ -1921,10 +1902,7 @@ impl Engine {
         let done_token = self
             .cal
             .schedule(self.now() + eta, Event::WorkDone { cpu: cpu.0, gen });
-        let quantum_token = self.cal.schedule(
-            self.now() + self.params.sched.quantum,
-            Event::Quantum { cpu: cpu.0, gen },
-        );
+        let quantum_token = self.arm_quantum(cpu, gen, eta);
         self.exec[cpu.index()] = Some(CpuExec {
             worker,
             rate,
@@ -1941,6 +1919,26 @@ impl Engine {
         self.rerate_neighbors(cpu, Some(ctx.ccx_pressure));
     }
 
+    /// Arms the quantum tick of generation `gen` on `cpu`, whose `WorkDone`
+    /// was just scheduled `eta` from now, if the tick can ever be handled.
+    ///
+    /// The tick always gets the sequence number right after its `WorkDone`
+    /// and is cancelled together with it, so it reaches `on_quantum` with a
+    /// current generation only by popping first. When `eta <= quantum` the
+    /// `WorkDone` pops first (at equal instants its lower sequence number
+    /// wins) and cancels the tick: arming it would change nothing but the
+    /// calendar's bookkeeping, so it is not armed. Skipped sequence numbers
+    /// leave the order of every other event as it was.
+    fn arm_quantum(&mut self, cpu: CpuId, gen: u64, eta: SimDuration) -> EventToken {
+        let quantum = self.params.sched.quantum;
+        if quantum < eta {
+            self.cal
+                .schedule(self.now() + quantum, Event::Quantum { cpu: cpu.0, gen })
+        } else {
+            EventToken::NONE
+        }
+    }
+
     /// Tears down execution on `cpu` (after flushing progress) and re-rates
     /// the neighborhood that just lost a co-runner.
     fn release_exec(&mut self, cpu: CpuId) {
@@ -1948,6 +1946,7 @@ impl Engine {
         let exec = self.exec[cpu.index()]
             .take()
             .expect("release_exec on idle cpu");
+        self.cpu_instance[cpu.index()] = IDLE_CPU;
         self.cal.cancel(exec.done_token);
         self.cal.cancel(exec.quantum_token);
         self.rerate_neighbors(cpu, None);
@@ -1972,18 +1971,12 @@ impl Engine {
             let center = (self.boost_bucket as f64 + 0.5) / 20.0;
             if (fraction - center).abs() > 0.075 {
                 self.boost_bucket = uarch::BoostModel::bucket(fraction);
-                let mut busy = std::mem::take(&mut self.cpu_scratch);
-                busy.clear();
-                busy.extend(
-                    self.topo
-                        .all_cpus()
-                        .iter()
-                        .filter(|c| self.exec[c.index()].is_some()),
-                );
-                for &cpu in &busy {
-                    self.rerate(cpu);
+                // Re-rating changes no CPU's occupancy.
+                for c in 0..self.cpu_instance.len() {
+                    if self.cpu_instance[c] != IDLE_CPU {
+                        self.rerate(CpuId(c as u32));
+                    }
                 }
-                self.cpu_scratch = busy;
             }
         }
     }
@@ -2033,56 +2026,44 @@ impl Engine {
     /// current [`Engine::ccx_pressure`] when the caller already has it.
     fn rerate_neighbors(&mut self, cpu: CpuId, pressure: Option<f64>) {
         let ccx = self.topo.ccx_of(cpu);
-        let mut neighbors = std::mem::take(&mut self.cpu_scratch);
-        neighbors.clear();
-        neighbors.extend(
-            self.topo
-                .cpus_in_ccx(ccx)
-                .iter()
-                .filter(|&c| c != cpu && self.exec[c.index()].is_some()),
-        );
-        if !neighbors.is_empty() {
-            // Occupancy doesn't change between neighbor re-rates, and for a
-            // CPU that is already running the own-context override in
-            // `exec_context` is the identity — so every neighbor sees
-            // exactly this CCX pressure. Compute the working-set scan once
-            // instead of once per neighbor.
-            let pressure = pressure.unwrap_or_else(|| self.ccx_pressure(ccx));
-            for &c in &neighbors {
-                self.flush_progress(c);
-                let Some(exec) = self.exec[c.index()] else {
-                    continue;
-                };
-                let smt_sibling_busy = self
-                    .topo
-                    .smt_sibling(c)
-                    .map(|sib| self.exec[sib.index()].is_some())
-                    .unwrap_or(false);
-                let instance = self.workers[exec.worker].instance;
-                let numa_local = self.instances[instance].mem_node == self.topo.numa_of(c);
-                let ctx = ExecContext {
-                    smt_sibling_busy,
-                    ccx_pressure: pressure,
-                    numa_local,
-                };
-                self.rerate_with_ctx(c, exec, ctx);
+        let mut pressure = pressure;
+        // Re-rating changes no CPU's occupancy, so every neighbor sees the
+        // same CCX pressure, computed at most once.
+        for i in 0..self.topo.ccx_cpus(ccx).len() {
+            let c = self.topo.ccx_cpus(ccx)[i];
+            if c == cpu || self.cpu_instance[c.index()] == IDLE_CPU {
+                continue;
             }
+            let ccx_pressure = *pressure.get_or_insert_with(|| self.ccx_pressure(ccx));
+            self.flush_progress(c);
+            let exec = self.exec[c.index()].expect("cpu_instance mirrors exec");
+            let ctx = ExecContext {
+                smt_sibling_busy: self.smt_sibling_busy(c),
+                ccx_pressure,
+                // The same instance on the same CPU: locality is unchanged.
+                numa_local: exec.ctx.numa_local,
+            };
+            self.rerate_with_ctx(c, exec, ctx);
         }
-        self.cpu_scratch = neighbors;
     }
 
-    /// The shared-L3 working-set pressure of `ccx`'s currently running
-    /// tasks, exactly as [`Engine::exec_context`] would derive it for any
-    /// CPU already running there.
+    /// The shared-L3 working-set pressure of `ccx`'s running tasks.
+    ///
+    /// CCX pressure counts each *instance's* working set once — worker
+    /// threads of one instance share its heap — plus 15% per additional
+    /// concurrently-running thread of that instance (private stacks,
+    /// connection buffers), capped at 2× the base footprint. Instances are
+    /// summed in the order their first CPU appears in the CCX.
     fn ccx_pressure(&self, ccx: cputopo::CcxId) -> f64 {
         let l3 = self.topo.caches().l3_bytes as f64;
-        let mut running: [(usize, u32); 16] = [(usize::MAX, 0); 16];
+        // (instance, running thread count); at most one entry per CPU.
+        let mut running: [(u32, u32); 16] = [(IDLE_CPU, 0); 16];
         let mut n_entries = 0;
-        for c in self.topo.cpus_in_ccx(ccx).iter() {
-            let Some(w) = self.exec[c.index()].map(|e| e.worker) else {
+        for c in self.topo.ccx_cpus(ccx) {
+            let inst = self.cpu_instance[c.index()];
+            if inst == IDLE_CPU {
                 continue;
-            };
-            let inst = self.workers[w].instance;
+            }
             if let Some(entry) = running[..n_entries].iter_mut().find(|e| e.0 == inst) {
                 entry.1 += 1;
             } else if n_entries < running.len() {
@@ -2092,8 +2073,7 @@ impl Engine {
         }
         let mut ws_sum = 0.0;
         for &(inst, k) in &running[..n_entries] {
-            let service = self.instances[inst].service;
-            let base = self.app.services()[service].profile.working_set_bytes as f64;
+            let base = self.instances[inst as usize].working_set;
             ws_sum += base * (1.0 + 0.15 * (k.saturating_sub(1)) as f64).min(2.0);
         }
         ws_sum / l3
@@ -2104,7 +2084,7 @@ impl Engine {
         let Some(exec) = self.exec[cpu.index()] else {
             return;
         };
-        let ctx = self.exec_context(cpu, exec.worker);
+        let ctx = self.exec_context(cpu);
         self.rerate_with_ctx(cpu, exec, ctx);
     }
 
@@ -2122,8 +2102,6 @@ impl Engine {
         if (rate - exec.rate).abs() < 1e-12 {
             return;
         }
-        self.cal.cancel(exec.done_token);
-        self.cal.cancel(exec.quantum_token);
         let job_id = self.workers[exec.worker]
             .job
             .expect("running worker holds a job");
@@ -2131,13 +2109,13 @@ impl Engine {
         let gen = self.next_gen;
         self.next_gen += 1;
         let eta = SimDuration::from_nanos((remaining / rate).ceil().max(1.0) as u64);
-        let done_token = self
-            .cal
-            .schedule(self.now() + eta, Event::WorkDone { cpu: cpu.0, gen });
-        let quantum_token = self.cal.schedule(
-            self.now() + self.params.sched.quantum,
-            Event::Quantum { cpu: cpu.0, gen },
+        self.cal.cancel(exec.quantum_token);
+        let done_token = self.cal.reschedule(
+            exec.done_token,
+            self.now() + eta,
+            Event::WorkDone { cpu: cpu.0, gen },
         );
+        let quantum_token = self.arm_quantum(cpu, gen, eta);
         self.exec[cpu.index()] = Some(CpuExec {
             worker: exec.worker,
             rate,
@@ -2481,11 +2459,43 @@ impl Engine {
                 exec.len()
             )));
         }
-        if let Some(bad) = exec.iter().flatten().find(|e| e.worker >= n_workers) {
-            return Err(SnapError::Corrupt(format!(
-                "cpu executes worker {}, engine has {n_workers}",
-                bad.worker
-            )));
+        let mut executing = vec![false; n_workers];
+        for (cpu, e) in exec
+            .iter()
+            .enumerate()
+            .filter_map(|(c, e)| e.map(|e| (c, e)))
+        {
+            if e.worker >= n_workers {
+                return Err(SnapError::Corrupt(format!(
+                    "cpu {cpu} executes worker {}, engine has {n_workers}",
+                    e.worker
+                )));
+            }
+            if worker_jobs[e.worker].is_none() {
+                return Err(SnapError::Corrupt(format!(
+                    "cpu {cpu} executes worker {}, which holds no job",
+                    e.worker
+                )));
+            }
+            if std::mem::replace(&mut executing[e.worker], true) {
+                return Err(SnapError::Corrupt(format!(
+                    "worker {} executes on two cpus",
+                    e.worker
+                )));
+            }
+            if self.sched.running_on(CpuId(cpu as u32)) != Some(self.workers[e.worker].task) {
+                return Err(SnapError::Corrupt(format!(
+                    "cpu {cpu} executes worker {}, but the scheduler does not run its task there",
+                    e.worker
+                )));
+            }
+            if e.since > cal.now() {
+                return Err(SnapError::Corrupt(format!(
+                    "cpu {cpu} has run since {}, after the clock at {}",
+                    e.since,
+                    cal.now()
+                )));
+            }
         }
 
         self.cal = cal;
@@ -2501,6 +2511,9 @@ impl Engine {
             wk.job = job;
         }
         self.submitted_total = submitted_total;
+        for (slot, e) in self.cpu_instance.iter_mut().zip(&exec) {
+            *slot = e.map_or(IDLE_CPU, |e| self.workers[e.worker].instance as u32);
+        }
         self.exec = exec;
         self.next_gen = next_gen;
         self.sched_stats_baseline = baseline;
@@ -2918,7 +2931,7 @@ impl EngineCtx for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{CallNode, CallStage, ServiceSpec};
+    use crate::app::{CallNode, CallStage, Demand, ServiceSpec};
     use crate::ids::ServiceId;
     use uarch::ServiceProfile;
 
@@ -4084,6 +4097,162 @@ mod tests {
                 assert!(msg.contains("engine config"), "diagnostic: {msg}")
             }
             other => panic!("expected a config-fingerprint rejection, got {other:?}"),
+        }
+    }
+
+    /// Two CPU-bound workers of one instance pinned to CPU 0: both requests
+    /// arrive together, one worker runs and the other waits on CPU 0's
+    /// runqueue, so only the quantum can interleave them.
+    fn one_cpu_engine(quantum: SimDuration, demand_us: f64) -> Engine {
+        let topo = Arc::new(Topology::desktop_8c());
+        let (app, svc) = one_service_app(demand_us);
+        let mut deployment = Deployment::empty(&app);
+        deployment.add_instance(
+            svc,
+            crate::deploy::InstanceConfig {
+                affinity: [CpuId(0)].into_iter().collect(),
+                threads: 2,
+                mem_node: None,
+            },
+        );
+        let mut params = EngineParams::default();
+        params.sched.quantum = quantum;
+        Engine::new(topo, params, app, deployment, 3)
+    }
+
+    /// The `WorkDone` instant of the slice running on CPU 0.
+    fn slice_end(engine: &Engine) -> SimTime {
+        let exec = engine.exec[0].expect("cpu 0 runs a slice");
+        let job = engine.workers[exec.worker]
+            .job
+            .expect("running worker holds a job");
+        let remaining = engine.jobs[job as usize].remaining_cycles;
+        exec.since + SimDuration::from_nanos((remaining / exec.rate).ceil() as u64)
+    }
+
+    #[test]
+    fn a_slice_longer_than_the_quantum_is_preempted_at_the_quantum() {
+        let mut engine = one_cpu_engine(SimDuration::from_millis(3), 10_000.0);
+        let mut driver = CountingDriver::new(2);
+        engine.run(&mut driver, SimTime::from_millis(1));
+        let exec = engine.exec[0].expect("the first worker runs");
+        assert_ne!(
+            exec.quantum_token,
+            EventToken::NONE,
+            "a 10 ms slice arms its tick"
+        );
+        let first = exec.worker;
+        engine.run_resumed(&mut driver, exec.since + SimDuration::from_millis(3));
+        let exec = engine.exec[0].expect("the second worker runs");
+        assert_ne!(exec.worker, first, "preempted exactly at the quantum");
+        engine.run_resumed(&mut driver, SimTime::from_secs(1));
+        assert_eq!(driver.done, 2);
+        // 10 ms each in 3 ms turns: six preemptions (A B A B A B, then A
+        // and B each finish in a last short turn) and two completions.
+        assert_eq!(engine.report().sched.context_switches, 8);
+    }
+
+    #[test]
+    fn a_slice_ending_exactly_at_the_quantum_is_not_preempted() {
+        let mut probe = one_cpu_engine(SimDuration::from_millis(3), 1_000.0);
+        probe.run(&mut CountingDriver::new(2), SimTime::from_millis(1));
+        let eta = slice_end(&probe) - probe.exec[0].expect("running").since;
+        let run = |quantum: SimDuration| {
+            let mut engine = one_cpu_engine(quantum, 1_000.0);
+            let mut driver = CountingDriver::new(2);
+            engine.run(&mut driver, SimTime::from_millis(1));
+            let armed = engine.exec[0].expect("running").quantum_token != EventToken::NONE;
+            engine.run_resumed(&mut driver, SimTime::from_secs(1));
+            assert_eq!(driver.done, 2);
+            (
+                armed,
+                engine.report().sched.context_switches,
+                driver.latencies,
+            )
+        };
+        let one_ns = SimDuration::from_nanos(1);
+        let (armed_at, switches_at, latencies_at) = run(eta);
+        let (armed_after, switches_after, latencies_after) = run(eta + one_ns);
+        let (armed_before, switches_before, _) = run(eta - one_ns);
+        // The tick is armed only when it can fire before `WorkDone`.
+        assert!(!armed_at && !armed_after && armed_before);
+        // At the tie `WorkDone` wins: no preemption, just as with a longer
+        // quantum. One nanosecond less and both slices are cut: A B A (done)
+        // B (done).
+        assert_eq!(switches_at, 2);
+        assert_eq!(
+            (switches_after, &latencies_after),
+            (switches_at, &latencies_at)
+        );
+        assert_eq!(switches_before, 4);
+    }
+
+    #[test]
+    fn an_exec_restored_without_a_quantum_tick_runs_to_completion() {
+        let mut probe = one_cpu_engine(SimDuration::from_millis(3), 1_000.0);
+        probe.run(&mut CountingDriver::new(2), SimTime::from_millis(1));
+        let since = probe.exec[0].expect("running").since;
+        let eta = slice_end(&probe) - since;
+        let mid = since + SimDuration::from_nanos(eta.as_nanos() / 2);
+        let end = SimTime::from_secs(1);
+
+        let mut straight = one_cpu_engine(eta, 1_000.0);
+        straight.run(&mut CountingDriver::new(2), end);
+
+        let mut first = one_cpu_engine(eta, 1_000.0);
+        first.run(&mut CountingDriver::new(2), mid);
+        let mut w = SnapWriter::new();
+        first.snap_save(&mut w);
+        let bytes = w.finish();
+        let mut resumed = one_cpu_engine(eta, 1_000.0);
+        resumed
+            .snap_restore(&mut SnapReader::new(&bytes).expect("valid envelope"))
+            .expect("restores");
+        assert_eq!(
+            resumed.exec[0].expect("running").quantum_token,
+            EventToken::NONE
+        );
+        // The driver's two requests are already in flight.
+        resumed.run_resumed(&mut CountingDriver::new(0), end);
+        assert_eq!(resumed.report().completed, 2);
+        let (mut a, mut b) = (SnapWriter::new(), SnapWriter::new());
+        straight.snap_save(&mut a);
+        resumed.snap_save(&mut b);
+        assert_eq!(
+            a.finish(),
+            b.finish(),
+            "resumed run diverged from the straight run"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_an_inconsistent_exec_table() {
+        // A mid-slice engine: CPU 0 executes one worker, the other waits.
+        let build = || one_cpu_engine(SimDuration::from_millis(3), 1_000.0);
+        type Corrupt = fn(&mut Engine);
+        let corruptions: [(&str, Corrupt); 4] = [
+            ("holds no job", |e| {
+                let w = e.exec[0].expect("running").worker;
+                e.workers[w].job = None;
+            }),
+            ("two cpus", |e| e.exec[1] = e.exec[0]),
+            ("does not run its task", |e| e.exec[1] = e.exec[0].take()),
+            ("after the clock", |e| {
+                let now = e.now();
+                e.exec[0].as_mut().expect("running").since = now + SimDuration::from_nanos(1);
+            }),
+        ];
+        for (want, corrupt) in corruptions {
+            let mut engine = build();
+            engine.run(&mut CountingDriver::new(2), SimTime::from_millis(1));
+            corrupt(&mut engine);
+            let mut w = SnapWriter::new();
+            engine.snap_save(&mut w);
+            let bytes = w.finish();
+            match build().snap_restore(&mut SnapReader::new(&bytes).expect("valid envelope")) {
+                Err(SnapError::Corrupt(msg)) => assert!(msg.contains(want), "{want}: {msg}"),
+                other => panic!("{want}: expected Corrupt, got {other:?}"),
+            }
         }
     }
 

@@ -79,6 +79,70 @@ pub struct SchedStats {
     pub steals: u64,
 }
 
+/// Word-parallel views of the running table, for the wake-time idle
+/// search: one bit per CPU, 64 CPUs per word (the [`CpuSet`] layout).
+#[derive(Debug, Clone)]
+struct BusyMasks {
+    /// CPUs that run a task.
+    cpus: Vec<u64>,
+    /// CPUs whose core runs a task on any of its threads.
+    cores: Vec<u64>,
+}
+
+impl BusyMasks {
+    fn idle(ncpus: usize) -> Self {
+        let words = ncpus.div_ceil(64);
+        BusyMasks {
+            cpus: vec![0; words],
+            cores: vec![0; words],
+        }
+    }
+
+    #[inline]
+    fn bit(mask: &[u64], cpu: CpuId) -> bool {
+        mask[cpu.index() / 64] & (1 << (cpu.index() % 64)) != 0
+    }
+
+    /// Marks `cpu` busy (`true`) or idle, keeping the core mask in step.
+    fn set(&mut self, topo: &Topology, cpu: CpuId, busy: bool) {
+        let (w, b) = (cpu.index() / 64, cpu.index() % 64);
+        if busy {
+            self.cpus[w] |= 1 << b;
+        } else {
+            self.cpus[w] &= !(1 << b);
+        }
+        let core = topo.cpus_in_core(topo.core_of(cpu));
+        let core_busy = busy || core.iter().any(|c| Self::bit(&self.cpus, c));
+        if core_busy == Self::bit(&self.cores, cpu) {
+            return; // every CPU of the core already carries this bit
+        }
+        for c in core.iter() {
+            let (w, b) = (c.index() / 64, c.index() % 64);
+            if core_busy {
+                self.cores[w] |= 1 << b;
+            } else {
+                self.cores[w] &= !(1 << b);
+            }
+        }
+    }
+
+    /// The lowest CPU in `domain ∩ affinity` that is idle and, when
+    /// `whole_core`, sits on an idle core.
+    #[inline]
+    fn first_idle(&self, domain: &CpuSet, affinity: &CpuSet, whole_core: bool) -> Option<CpuId> {
+        let core_mask = if whole_core { u64::MAX } else { 0 };
+        domain
+            .words()
+            .iter()
+            .zip(affinity.words())
+            .enumerate()
+            .find_map(|(w, (&d, &a))| {
+                let free = d & a & !self.cpus[w] & !(self.cores[w] & core_mask);
+                (free != 0).then(|| CpuId((w * 64) as u32 + free.trailing_zeros()))
+            })
+    }
+}
+
 /// The CPU scheduler for one simulated machine.
 ///
 /// See the [crate docs](crate) for the driving contract.
@@ -89,6 +153,7 @@ pub struct Scheduler {
     tasks: Vec<Task>,
     runqueues: Vec<RunQueue>,
     running: Vec<Option<TaskId>>,
+    busy: BusyMasks, // simlint: allow(S1) — derived from `running`, rebuilt in snap_restore
     /// Runnable-but-queued tasks across all runqueues, kept in sync with
     /// every push/pop/remove so idle paths (notably steals) can bail out in
     /// O(1) on an unqueued machine.
@@ -106,6 +171,7 @@ impl Scheduler {
             tasks: Vec::new(),
             runqueues: (0..ncpus).map(|_| RunQueue::new()).collect(),
             running: vec![None; ncpus],
+            busy: BusyMasks::idle(ncpus),
             queued_total: 0,
             stats: SchedStats::default(),
         }
@@ -397,6 +463,7 @@ impl Scheduler {
         t.cpu = Some(cpu);
         t.last_cpu = Some(cpu);
         self.running[cpu.index()] = Some(task);
+        self.busy.set(&self.topo, cpu, true);
         Placement {
             task,
             cpu,
@@ -414,6 +481,7 @@ impl Scheduler {
             "running table corrupt"
         );
         self.running[cpu.index()] = None;
+        self.busy.set(&self.topo, cpu, false);
         let t = &mut self.tasks[task.index()];
         t.cpu = None;
         t.state = into;
@@ -433,7 +501,8 @@ impl Scheduler {
         Switch { cpu, next }
     }
 
-    /// Finds an idle CPU in `affinity`, searching outward from `anchor`.
+    /// Finds an idle CPU in `affinity`, searching outward from `anchor`:
+    /// within each domain the lowest eligible CPU wins, 64 CPUs per step.
     fn find_idle_cpu(&self, anchor: Option<CpuId>, affinity: &CpuSet) -> Option<CpuId> {
         // Fast path: the task's previous CPU.
         if let Some(last) = anchor {
@@ -448,37 +517,22 @@ impl Scheduler {
         let domains = self.topo.domains_of(anchor);
         // Pass 1 (optional): fully idle cores.
         if self.params.prefer_idle_cores {
-            for domain in &domains {
-                let mut best = None;
-                for cpu in domain.iter() {
-                    if affinity.contains(cpu) && !self.is_busy(cpu) && self.core_is_idle(cpu) {
-                        best = Some(cpu);
-                        break;
-                    }
-                }
-                if best.is_some() {
-                    return best;
-                }
+            if let Some(cpu) = domains
+                .iter()
+                .find_map(|d| self.busy.first_idle(d, affinity, true))
+            {
+                return Some(cpu);
             }
         }
-        // Pass 2: any idle CPU.
-        for domain in &domains {
-            for cpu in domain.iter() {
-                if affinity.contains(cpu) && !self.is_busy(cpu) {
-                    return Some(cpu);
-                }
-            }
-        }
-        // Affinity may reach outside the anchor's machine walk only if the
-        // anchor is not in `affinity`; cover the remainder.
-        affinity.iter().find(|&c| !self.is_busy(c))
+        // Pass 2: any idle CPU. The last domain is the whole machine, so
+        // this also covers an affinity that excludes the anchor.
+        domains
+            .iter()
+            .find_map(|d| self.busy.first_idle(d, affinity, false))
     }
 
     fn core_is_idle(&self, cpu: CpuId) -> bool {
-        self.topo
-            .cpus_in_core(self.topo.core_of(cpu))
-            .iter()
-            .all(|c| !self.is_busy(c))
+        !BusyMasks::bit(&self.busy.cores, cpu)
     }
 
     fn least_loaded(&self, affinity: &CpuSet) -> CpuId {
@@ -624,6 +678,12 @@ impl Scheduler {
         }
         self.tasks = tasks;
         self.runqueues = runqueues;
+        self.busy = BusyMasks::idle(ncpus);
+        for (i, t) in running.iter().enumerate() {
+            if t.is_some() {
+                self.busy.set(&self.topo, CpuId(i as u32), true);
+            }
+        }
         self.running = running;
         self.queued_total = r.usize()?;
         self.stats = SchedStats {
@@ -941,6 +1001,191 @@ mod tests {
         match other.snap_restore(&mut r) {
             Err(SnapError::Corrupt(msg)) => assert!(msg.contains("runqueues"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// The per-CPU idle search the bitmaps replaced, kept as the oracle.
+    fn find_idle_cpu_scan(
+        s: &Scheduler,
+        anchor: Option<CpuId>,
+        affinity: &CpuSet,
+    ) -> Option<CpuId> {
+        let core_is_idle = |cpu: CpuId| {
+            s.topo
+                .cpus_in_core(s.topo.core_of(cpu))
+                .iter()
+                .all(|c| !s.is_busy(c))
+        };
+        if let Some(last) = anchor {
+            if affinity.contains(last)
+                && !s.is_busy(last)
+                && (!s.params.prefer_idle_cores || core_is_idle(last))
+            {
+                return Some(last);
+            }
+        }
+        let anchor = anchor.or_else(|| affinity.first())?;
+        let domains = s.topo.domains_of(anchor);
+        if s.params.prefer_idle_cores {
+            for domain in &domains {
+                for cpu in domain.iter() {
+                    if affinity.contains(cpu) && !s.is_busy(cpu) && core_is_idle(cpu) {
+                        return Some(cpu);
+                    }
+                }
+            }
+        }
+        for domain in &domains {
+            for cpu in domain.iter() {
+                if affinity.contains(cpu) && !s.is_busy(cpu) {
+                    return Some(cpu);
+                }
+            }
+        }
+        affinity.iter().find(|&c| !s.is_busy(c))
+    }
+
+    /// Both bitmaps equal their definitions over the running table.
+    fn assert_masks_match_running(s: &Scheduler) {
+        for cpu in s.topo.all_cpus().iter() {
+            let core_busy = s
+                .topo
+                .cpus_in_core(s.topo.core_of(cpu))
+                .iter()
+                .any(|c| s.is_busy(c));
+            assert_eq!(BusyMasks::bit(&s.busy.cpus, cpu), s.is_busy(cpu), "{cpu}");
+            assert_eq!(
+                BusyMasks::bit(&s.busy.cores, cpu),
+                core_busy,
+                "core of {cpu}"
+            );
+        }
+    }
+
+    /// A CPU set over `topo` from random words; `density` 0–3 thins or
+    /// thickens it so nearly-idle and nearly-full machines both occur.
+    fn random_set(topo: &Topology, words: &[u64], mix: &[u64], density: u8) -> CpuSet {
+        topo.all_cpus()
+            .iter()
+            .filter(|c| {
+                let (w, b) = (c.index() / 64 % words.len(), c.index() % 64);
+                let x = match density {
+                    0 => words[w] & mix[w],
+                    1 => words[w],
+                    2 => words[w] | mix[w],
+                    _ => !(words[w] & mix[w]),
+                };
+                x & (1 << b) != 0
+            })
+            .collect()
+    }
+
+    fn machine(big: bool) -> Arc<Topology> {
+        Arc::new(if big {
+            Topology::zen2_2p_128c()
+        } else {
+            Topology::desktop_8c()
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn word_parallel_idle_search_matches_the_per_cpu_scan(
+            big in any::<bool>(),
+            prefer in any::<bool>(),
+            busy in (proptest::collection::vec(any::<u64>(), 4), proptest::collection::vec(any::<u64>(), 4), 0u8..4),
+            aff in (proptest::collection::vec(any::<u64>(), 4), proptest::collection::vec(any::<u64>(), 4), 0u8..5),
+            anchor in (any::<bool>(), any::<u32>()),
+        ) {
+            let topo = machine(big);
+            let params = SchedParams { prefer_idle_cores: prefer, ..SchedParams::default() };
+            let mut sched = Scheduler::new(topo.clone(), params);
+            for cpu in random_set(&topo, &busy.0, &busy.1, busy.2).iter() {
+                let t = sched.spawn(topo.all_cpus().clone());
+                sched.start_on(t, cpu);
+            }
+            assert_masks_match_running(&sched);
+            let affinity = match aff.2 {
+                // A whole CCX: the pinned-deployment shape.
+                4 => topo.cpus_in_ccx(cputopo::CcxId(aff.0[0] as u32 % topo.num_ccxs() as u32)).clone(),
+                d => random_set(&topo, &aff.0, &aff.1, d),
+            };
+            prop_assume_nonempty(&affinity)?;
+            let anchor = anchor.0.then(|| CpuId(anchor.1 % topo.num_cpus() as u32));
+            prop_assert_eq!(
+                sched.find_idle_cpu(anchor, &affinity),
+                find_idle_cpu_scan(&sched, anchor, &affinity)
+            );
+        }
+
+        #[test]
+        fn busy_bitmaps_track_the_running_table(
+            big in any::<bool>(),
+            ops in proptest::collection::vec((0u8..7, any::<u32>()), 1..300),
+        ) {
+            let topo = machine(big);
+            let mut sched = Scheduler::new(topo.clone(), SchedParams::default());
+            let ncpus = topo.num_cpus() as u32;
+            // Tasks pinned to one CCX crowd it, so runqueues fill and steals,
+            // preemptions and promotions all happen.
+            let tasks: Vec<TaskId> = (0..48u32)
+                .map(|i| match i % 3 {
+                    0 => sched.spawn(topo.all_cpus().clone()),
+                    1 => sched.spawn(topo.cpus_in_ccx(cputopo::CcxId(0)).clone()),
+                    _ => sched.spawn([CpuId(i % ncpus)].into_iter().collect()),
+                })
+                .collect();
+            let mut saved = {
+                let mut w = SnapWriter::new();
+                sched.snap_save(&mut w);
+                w.finish()
+            };
+            for (op, x) in ops {
+                let task = tasks[x as usize % tasks.len()];
+                let cpu = CpuId(x % ncpus);
+                match op {
+                    0 | 1 => {
+                        sched.wake_outcome(task);
+                    }
+                    2 => {
+                        if sched.state(task) == TaskState::Running {
+                            sched.block(task);
+                        }
+                    }
+                    3 => {
+                        sched.quantum_expired(cpu);
+                    }
+                    4 => {
+                        sched.steal(cpu);
+                    }
+                    5 => {
+                        let mut w = SnapWriter::new();
+                        sched.snap_save(&mut w);
+                        saved = w.finish();
+                    }
+                    _ => {
+                        // Roll the live scheduler back to the last save (or
+                        // to its idle start), as an engine restore does.
+                        sched
+                            .snap_restore(&mut SnapReader::new(&saved).expect("envelope"))
+                            .expect("restores");
+                    }
+                }
+                assert_masks_match_running(&sched);
+            }
+        }
+    }
+
+    /// Skips a case whose random affinity came out empty.
+    fn prop_assume_nonempty(set: &CpuSet) -> Result<(), TestCaseError> {
+        if set.is_empty() {
+            Err(TestCaseError::reject("empty affinity"))
+        } else {
+            Ok(())
         }
     }
 

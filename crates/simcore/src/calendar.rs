@@ -29,10 +29,11 @@
 //! harmless.
 //!
 //! Slab indices are recycled only by `cancel`, by `pop`, and by tombstones
-//! leaving `ready` or the overflow heap in (time, seq) order. None of these
-//! depends on the order of entries within a wheel slot, so a calendar
-//! rebuilt from a snapshot reuses exactly the slab indices the live one
-//! would.
+//! leaving `ready` or the overflow heap in (time, seq) order;
+//! `reschedule` of a wheel entry keeps its index, exactly as the cancel and
+//! schedule it stands for would. None of these depends on the order of
+//! entries within a wheel slot, so a calendar rebuilt from a snapshot
+//! reuses exactly the slab indices the live one would.
 //!
 //! # Ordering invariant
 //!
@@ -97,6 +98,11 @@ fn block_of(ns: u64, level: usize) -> u64 {
 pub struct EventToken(u64);
 
 impl EventToken {
+    /// A token that names no event: cancelling or rescheduling it behaves
+    /// as for a token whose event already fired. Holders of an optional
+    /// event store it instead of arming one that can never be handled.
+    pub const NONE: EventToken = EventToken(u64::MAX);
+
     #[inline]
     fn pack(idx: u32, gen: u32) -> Self {
         EventToken(((gen as u64) << 32) | idx as u64)
@@ -422,6 +428,64 @@ impl<E> Calendar<E> {
             e.cancelled = true;
             return true;
         }
+        self.unlink(idx);
+        self.recycle(idx as u32);
+        true
+    }
+
+    /// Moves a pending event to `at` with a new payload, returning its new
+    /// token.
+    ///
+    /// Exactly [`Calendar::cancel`] followed by [`Calendar::schedule`]: the
+    /// event gets a fresh sequence number, the old token goes stale, and
+    /// the slab index, generation, `len` and `high_water` come out as that
+    /// pair would leave them. An event sitting in a wheel slot is moved in
+    /// place, without a trip through the free list; any other token (fired,
+    /// cancelled, [`EventToken::NONE`], or an event already drained to the
+    /// ready batch or parked in the overflow heap) takes the two calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the calendar's current time.
+    pub fn reschedule(&mut self, token: EventToken, at: SimTime, payload: E) -> EventToken {
+        let idx = token.idx();
+        let in_wheel = matches!(
+            self.slab.get(idx),
+            Some(e) if e.gen == token.gen() && e.payload.is_some() && e.slot != NO_SLOT
+        );
+        if !in_wheel {
+            self.cancel(token);
+            return self.schedule(at, payload);
+        }
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: at={at} < now={}",
+            self.now
+        );
+        self.unlink(idx);
+        let ns = at.as_nanos();
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let e = &mut self.slab[idx];
+        e.gen = e.gen.wrapping_add(1);
+        e.at = ns;
+        e.seq = seq;
+        e.slot = NO_SLOT;
+        e.payload = Some(payload);
+        let gen = e.gen;
+        if ns < self.base {
+            self.merge_ready(idx as u32);
+        } else {
+            self.insert_wheel(idx as u32, ns);
+        }
+        EventToken::pack(idx as u32, gen)
+    }
+
+    /// Removes a wheel entry from its slot, fixing the position of the
+    /// entry moved into its place.
+    #[inline]
+    fn unlink(&mut self, idx: usize) {
+        let e = &self.slab[idx];
         let (level, s, pos) = (
             e.slot as usize / SLOTS,
             e.slot as usize % SLOTS,
@@ -436,8 +500,6 @@ impl<E> Calendar<E> {
         if v.is_empty() {
             lvl.unmark(s);
         }
-        self.recycle(idx as u32);
-        true
     }
 
     /// Pops the earliest live event, advancing the clock to its timestamp.
@@ -1074,6 +1136,43 @@ mod tests {
         assert_eq!(cal.len(), 0);
         assert_eq!(accounted_live(&cal), 0);
         assert_eq!(cal.high_water(), model_peak);
+    }
+
+    #[test]
+    fn reschedule_moves_entries_from_every_container() {
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime::from_nanos(1), 0);
+        cal.pop(); // base now past nanos(1..1024): later schedules there land in ready
+        let ready = cal.schedule(SimTime::from_nanos(5), 1);
+        let wheel = cal.schedule(SimTime::from_micros(300), 2);
+        let over = cal.schedule(SimTime::from_secs(7200), 3);
+        let none = EventToken::NONE;
+        assert!(!cal.cancel(none), "NONE names no event");
+        let slot_of_entry = |cal: &Calendar<u64>, t: EventToken| cal.slab[t.idx()].slot;
+        assert_eq!(slot_of_entry(&cal, ready), NO_SLOT);
+        assert_ne!(slot_of_entry(&cal, wheel), NO_SLOT);
+        assert_eq!(slot_of_entry(&cal, over), NO_SLOT);
+
+        // A wheel entry moves in place: same index, next generation.
+        let moved = cal.reschedule(wheel, SimTime::from_nanos(7), 20);
+        assert_eq!(moved.idx(), wheel.idx());
+        assert_eq!(moved.gen(), wheel.gen().wrapping_add(1));
+        assert!(!cal.cancel(wheel), "the old token went stale");
+        // Ready and overflow entries leave a tombstone and re-allocate.
+        let from_ready = cal.reschedule(ready, SimTime::from_micros(900), 10);
+        let from_over = cal.reschedule(over, SimTime::from_nanos(6), 30);
+        let from_none = cal.reschedule(none, SimTime::from_secs(7300), 40);
+        assert!(!cal.cancel(ready) && !cal.cancel(over));
+        assert_eq!(cal.len(), 4);
+        assert_eq!(accounted_live(&cal), 4);
+        assert_eq!(
+            cal.high_water(),
+            4,
+            "a reschedule never adds a pending event"
+        );
+        let order: Vec<u64> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![30, 20, 10, 40]);
+        assert!(!cal.cancel(from_ready) && !cal.cancel(from_over) && !cal.cancel(from_none));
     }
 
     #[test]

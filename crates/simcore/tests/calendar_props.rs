@@ -1,11 +1,13 @@
 //! Property tests: the timer-wheel `Calendar` against a naive reference
 //! model (a sorted list popped from the front).
 //!
-//! Whatever interleaving of schedule / cancel / pop runs, the wheel must
-//! produce exactly the model's pop order — including same-instant FIFO
-//! tie-breaking and cancel semantics — and agree on `len` and `peek_time`.
-//! A calendar restored from a snapshot mid-sequence must stay
-//! byte-identical to the live one through any further operations.
+//! Whatever interleaving of schedule / cancel / reschedule / pop runs, the
+//! wheel must produce exactly the model's pop order — including
+//! same-instant FIFO tie-breaking and cancel semantics — and agree on
+//! `len`, `high_water` and `peek_time`. `reschedule` must behave exactly
+//! like `cancel` followed by `schedule`, down to the snapshot bytes. A
+//! calendar restored from a snapshot mid-sequence must stay byte-identical
+//! to the live one through any further operations.
 
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -17,6 +19,7 @@ struct Model {
     pending: Vec<(u64, u64, u32)>,
     next_seq: u64,
     now: u64,
+    high_water: usize,
 }
 
 impl Model {
@@ -25,6 +28,7 @@ impl Model {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending.push((at, seq, payload));
+        self.high_water = self.high_water.max(self.pending.len());
         seq
     }
     fn cancel(&mut self, seq: u64) -> bool {
@@ -59,6 +63,9 @@ enum Op {
     Schedule { delta: u64 },
     /// Cancel the `nth` still-remembered token (may already have fired).
     Cancel { nth: usize },
+    /// Move the `nth` remembered token's event to `delta` ns after the
+    /// clock (a plain schedule if it already fired or was cancelled).
+    Reschedule { nth: usize, delta: u64 },
     Pop,
     Peek,
 }
@@ -72,6 +79,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..=1 << 14).prop_map(|delta| Op::Schedule { delta }),
         (0u64..=1 << 14).prop_map(|delta| Op::Schedule { delta }),
         any::<usize>().prop_map(|nth| Op::Cancel { nth }),
+        // Near-future reschedules keep entries in `ready` and the low
+        // wheel levels; long ones move them to and from the overflow heap.
+        (any::<usize>(), 0u64..=1 << 14).prop_map(|(nth, delta)| Op::Reschedule { nth, delta }),
+        (any::<usize>(), 0u64..=1 << 44).prop_map(|(nth, delta)| Op::Reschedule { nth, delta }),
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Peek),
@@ -103,6 +114,17 @@ proptest! {
                         prop_assert_eq!(cal.cancel(tok), model.cancel(seq));
                     }
                 }
+                Op::Reschedule { nth, delta } => {
+                    if !tokens.is_empty() {
+                        let i = nth % tokens.len();
+                        let (tok, seq) = tokens[i];
+                        let at = model.now.saturating_add(delta);
+                        payload += 1;
+                        model.cancel(seq);
+                        let seq = model.schedule(at, payload);
+                        tokens[i] = (cal.reschedule(tok, SimTime::from_nanos(at), payload), seq);
+                    }
+                }
                 Op::Pop => {
                     let got = cal.pop().map(|(t, p)| (t.as_nanos(), p));
                     prop_assert_eq!(got, model.pop());
@@ -112,6 +134,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(cal.len(), model.pending.len());
+            prop_assert_eq!(cal.high_water(), model.high_water);
         }
 
         // Drain: the full remaining order must match.
@@ -123,6 +146,40 @@ proptest! {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn reschedule_is_cancel_then_schedule(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+        // The same ops on two calendars, one rescheduling in place and one
+        // spelling each reschedule out as cancel + schedule: they must
+        // agree on every observation, on `len` and `high_water`, on the
+        // returned tokens, and on the snapshot bytes after every step.
+        let mut fast: Calendar<u32> = Calendar::new();
+        let mut slow: Calendar<u32> = Calendar::new();
+        let (mut fast_tokens, mut slow_tokens) = (Vec::new(), Vec::new());
+        let (mut fast_payload, mut slow_payload) = (0u32, 0u32);
+        for op in &ops {
+            let got = apply(&mut fast, &mut fast_tokens, &mut fast_payload, op);
+            let want = match *op {
+                Op::Reschedule { nth, delta } if !slow_tokens.is_empty() => {
+                    slow_payload += 1;
+                    let at = slow.now().as_nanos().saturating_add(delta);
+                    let i = nth % slow_tokens.len();
+                    slow.cancel(slow_tokens[i]);
+                    slow_tokens[i] = slow.schedule(SimTime::from_nanos(at), slow_payload);
+                    None
+                }
+                _ => apply(&mut slow, &mut slow_tokens, &mut slow_payload, op),
+            };
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(&fast_tokens, &slow_tokens);
+            prop_assert_eq!(fast.len(), slow.len());
+            prop_assert_eq!(fast.high_water(), slow.high_water());
+            prop_assert_eq!(snapshot(&fast), snapshot(&slow));
+        }
+        let a: Vec<_> = std::iter::from_fn(|| fast.pop()).collect();
+        let b: Vec<_> = std::iter::from_fn(|| slow.pop()).collect();
+        prop_assert_eq!(a, b);
     }
 
     #[test]
@@ -199,6 +256,14 @@ fn apply(
             Some((u64::from(cal.cancel(tok)), 0))
         }
         Op::Cancel { .. } => None,
+        Op::Reschedule { nth, delta } if !tokens.is_empty() => {
+            *payload += 1;
+            let at = cal.now().as_nanos().saturating_add(delta);
+            let i = nth % tokens.len();
+            tokens[i] = cal.reschedule(tokens[i], SimTime::from_nanos(at), *payload);
+            None
+        }
+        Op::Reschedule { .. } => None,
         Op::Pop => cal.pop().map(|(t, p)| (t.as_nanos(), p)),
         Op::Peek => cal.peek_time().map(|t| (t.as_nanos(), 0)),
     }

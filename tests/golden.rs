@@ -50,13 +50,13 @@ const GOLDEN: &[(&str, u64)] = &[
     ("e21", 0x21a6_7f22_ffd7_14b2),
     ("e22", 0xe9d7_52fe_b2b9_97d3),
     ("e23", 0x20c7_735a_8ca3_4ed1),
-    ("e24", 0x8cab_e5fa_3f9e_8612),
+    ("e24", 0x68a6_107c_bd40_bd2c),
     ("e25", 0x1e0a_24fa_5a80_e943),
     ("e26", 0x7f3e_9f38_8cf8_0945),
     ("e27", 0x6d4b_c8f4_dd5d_30a9),
     ("e28", 0x2541_f7c8_add9_b88d),
     ("e29", 0x674d_2227_498a_d819),
-    ("snap", 0xfbc8_caec_4e42_f772),
+    ("snap", 0x5a8c_0394_8e12_0c2e),
     ("chaos", 0xb78d_ea27_7ad2_39e7),
     ("a1", 0x9959_43d2_c0ed_d43b),
     ("a2", 0xfe71_b08c_eee7_0907),

@@ -352,7 +352,7 @@ fn codec_bytes_match_the_pinned_layout() {
     assert_eq!(bare.into_bare(), engine_bytes[8..engine_bytes.len() - 12]);
     assert_eq!(
         (engine_bytes.len(), fnv64(&engine_bytes)),
-        (340_545, 0x9157_7233_9456_15eb),
+        (339_636, 0xdea5_364a_175a_0acc),
         "engine snapshot bytes moved"
     );
     assert_eq!(
