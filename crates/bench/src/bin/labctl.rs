@@ -15,7 +15,7 @@
 //! instance to a Linux-style cpulist. `--trace N` samples every N-th request
 //! and prints three span waterfalls.
 
-use cputopo::{cpulist, Topology, TopologyBuilder};
+use cputopo::{cpulist, CpuSet, Topology, TopologyBuilder};
 use loadgen::ClosedLoop;
 use microsvc::{
     Deployment, Engine, EngineParams, InstanceConfig, LbPolicy, ServiceId, WindowPolicy,
@@ -44,6 +44,12 @@ fn usage() -> ! {
          --trace N                              sample every N-th request, print waterfalls\n\
          --plot                                 ASCII plot of per-window throughput"
     );
+    std::process::exit(2);
+}
+
+/// Prints one error line and exits 2, as `repro` does for bad input.
+fn reject(msg: &str) -> ! {
+    eprintln!("labctl: {msg}");
     std::process::exit(2);
 }
 
@@ -95,7 +101,7 @@ struct Options {
     seed: u64,
     shards: u32,
     lookahead_cap: Option<u32>,
-    cpus: Option<String>,
+    cpus: Option<CpuSet>,
     trace: Option<u64>,
     plot: bool,
 }
@@ -139,11 +145,32 @@ fn parse_args() -> Options {
             "--lookahead-cap" => {
                 opts.lookahead_cap = Some(value().parse().unwrap_or_else(|_| usage()));
             }
-            "--cpus" => opts.cpus = Some(value()),
+            "--cpus" => {
+                let mask = cpulist::parse(&value()).unwrap_or_else(|e| reject(&e.to_string()));
+                opts.cpus = Some(mask);
+            }
             "--trace" => opts.trace = Some(value().parse().unwrap_or_else(|_| usage())),
             "--plot" => opts.plot = true,
             "--help" | "-h" => usage(),
             _ => usage(),
+        }
+    }
+    // Reject what the engine would panic on, or silently clamp, before
+    // anything is built.
+    if opts.users == 0 {
+        reject("--users must be at least 1");
+    }
+    if opts.shards == 0 {
+        reject("--shards must be at least 1");
+    }
+    if let Some(mask) = &opts.cpus {
+        let all = opts.topology.all_cpus();
+        if mask.is_empty() {
+            reject("--cpus selects no CPU");
+        }
+        if !mask.is_subset(all) {
+            let (mask, all) = (cpulist::format(mask), cpulist::format(all));
+            reject(&format!("--cpus {mask} exceeds the machine's CPUs {all}"));
         }
     }
     opts
@@ -158,15 +185,8 @@ fn main() {
     println!("{}\n", topo.summary());
 
     // Build the deployment: either a policy placement or a cpulist mask.
-    let (deployment, lb) = if let Some(list) = &opts.cpus {
-        let mask = cpulist::parse(list).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        println!(
-            "confining every instance to CPUs {}",
-            cpulist::format(&mask)
-        );
+    let (deployment, lb) = if let Some(mask) = &opts.cpus {
+        println!("confining every instance to CPUs {}", cpulist::format(mask));
         let mut deployment = Deployment::empty(store.app());
         for (svc, &n) in replicas.iter().enumerate() {
             for _ in 0..n {
@@ -211,7 +231,7 @@ fn main() {
         warmup: SimDuration::from_millis(750),
         measure: SimDuration::from_millis(opts.measure_ms),
         checkpoint: false,
-        shards: opts.shards.max(1),
+        shards: opts.shards,
         shard_cross_permille: 50,
         shard_latency: SimDuration::from_millis(1),
         shard_workers: 0,

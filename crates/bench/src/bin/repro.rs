@@ -70,14 +70,14 @@ fn usage() -> String {
     let named_only: Vec<&str> = EXPERIMENTS.iter().filter(|e| !e.in_all()).map(|e| e.id).collect();
     [
         "usage: repro [--quick] [--seed N] [--jobs N] [--shards N] [--csv DIR] [--html FILE] <experiment>... | all",
-        "       repro [--quick] --gate BASELINE.json perf",
+        "       repro [--gate BASELINE.json] perf",
         "       repro list [--json]",
         &format!("  all          every experiment below in order, except {}", named_only.join(", ")),
         "  --jobs N     sweep workers (default: all CPUs; any N gives identical output)",
         "  --shards N   run shardable experiments (list --json) with N parallel-in-run cells",
         "  --csv DIR    also write plot-ready CSV files",
         "  --html FILE  also write a self-contained HTML report",
-        "  --gate FILE  with perf: fail if events/s regress vs the committed baseline",
+        "  --gate FILE  with perf: fail if any simulated count differs from FILE",
         "",
         catalog().trim_end(),
     ]
@@ -138,22 +138,22 @@ fn write(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), String> {
 }
 
 /// `repro perf`: runs the self-benchmark, writes
-/// `results/BENCH_simperf.json` and, with `--gate`, compares it against the
-/// committed baseline.
-fn run_perf(quick: bool, gate: Option<&Path>) -> Result<Artifact, String> {
+/// `results/BENCH_simperf.json` and, with `--gate`, compares its counts
+/// against the committed baseline.
+fn run_perf(gate: Option<&Path>) -> Result<Artifact, String> {
     // Read the committed baseline before the fresh results overwrite it
     // (the gate file is usually the same path).
     let committed = gate
         .map(perf::read_baseline)
         .transpose()
         .map_err(|msg| format!("{msg}\nperf gate FAILED"))?;
-    let (table, json) = perf::run(quick);
+    let (table, json) = perf::run();
     let path = Path::new("results/BENCH_simperf.json");
     write(path, &json)?;
     println!("[wrote {}]", path.display());
     if let Some(committed) = committed {
-        let report = perf::gate(&committed, &json, 0.5)
-            .map_err(|report| format!("{report}perf gate FAILED"))?;
+        let report = perf::gate(&committed, &json)
+            .map_err(|report| format!("{}\nperf gate FAILED", report.trim_end()))?;
         println!("{report}");
     }
     Ok(Artifact::new(&table))
@@ -223,7 +223,7 @@ fn run(cli: Cli) -> Result<(), String> {
         let t0 = Instant::now();
         let artifact = match exp::find(name) {
             Some(e) => (e.run)(&config),
-            None => run_perf(cli.quick, cli.gate_path.as_deref())?,
+            None => run_perf(cli.gate_path.as_deref())?,
         };
         emit(name, artifact, cli.csv_dir.as_deref(), html.as_mut())?;
         println!("[{name} took {:.1}s]\n", t0.elapsed().as_secs_f64());

@@ -1,67 +1,22 @@
-//! Simulator self-benchmark: how fast does the hot path retire events?
+//! Simulator self-benchmark with an exact, host-independent gate.
 //!
-//! `repro perf` runs fixed full-scale scenarios, reports wall time and
-//! events/second (best of a few repetitions — wall time on a shared box is
-//! noisy, the minimum is the signal), and writes the machine-readable
-//! `results/BENCH_simperf.json`. The JSON also carries the pre-overhaul
-//! baseline wall time recorded for the same flagship scenario, so the
-//! speedup of the timer-wheel/slab/memo work stays visible in CI artifacts.
+//! `repro perf` runs four fixed scenarios once each and writes
+//! `results/BENCH_simperf.json`: per scenario, the counts the run reports
+//! already carry — calendar events, completions, calendar high water, the
+//! scheduler counters, engine + generator footprint bytes, and for the
+//! sharded scenario its rounds and barriers. The simulation is
+//! deterministic, so these integers are the same on every host and at any
+//! worker count, and `--gate` demands exact equality. Wall time, events/s,
+//! peak RSS and bytes/user appear in the printed table for display only.
 
 use loadgen::ClosedLoop;
 use microsvc::{mix_seed, Deployment, Engine, EngineParams, ShardSpec, ShardedRun, SyncStats};
+use oskernel::SchedStats;
 use simcore::{SimDuration, SimTime};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use teastore::TeaStore;
-
-/// Counting global allocator, active with the `alloc-count` feature: every
-/// allocation bumps an atomic counter and a live-byte gauge, so `repro perf`
-/// can report hot-path allocation pressure per scenario. Off by default —
-/// the shim adds two relaxed atomics to every malloc/free.
-#[cfg(feature = "alloc-count")]
-pub mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-
-    /// Total allocations since process start.
-    pub static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-    /// Bytes currently allocated (allocations minus frees).
-    pub static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-    struct Counting;
-
-    // SAFETY: defers all allocation to `System`; only adds atomic counters.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static COUNTING: Counting = Counting;
-
-    /// `(allocations, live_bytes)` snapshot.
-    pub fn snapshot() -> (u64, i64) {
-        (
-            ALLOCATIONS.load(Ordering::Relaxed),
-            LIVE_BYTES.load(Ordering::Relaxed),
-        )
-    }
-}
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`); 0 where the proc filesystem is unavailable.
@@ -91,41 +46,6 @@ pub fn peak_rss_bytes() -> u64 {
     }
 }
 
-/// Commit of the recorded pre-overhaul baseline.
-pub const BASELINE_COMMIT: &str = "fc95e44";
-/// Wall seconds the flagship scenario took at [`BASELINE_COMMIT`]
-/// (BinaryHeap calendar, allocating request path, unmemoized CPI model).
-/// Minimum of six runs interleaved with runs of the current tree and with
-/// [`calibrate`] samples, so both trees saw identical machine conditions.
-pub const BASELINE_WALL_SECS: f64 = 1.347;
-/// [`calibrate`] wall seconds on the host state the baseline minimum was
-/// recorded under. The host this repository is benchmarked on drifts in
-/// speed over minutes (shared VM); scaling the recorded baseline by
-/// `calibrate() / BASELINE_CALIB_SECS` compares both trees at the *same*
-/// host speed instead of blaming (or crediting) the drift.
-pub const BASELINE_CALIB_SECS: f64 = 0.159;
-
-/// A fixed pure-CPU workload used to normalize for host speed drift:
-/// a SplitMix64 stream folded into one value so it cannot be optimized out.
-/// Sized to ~1/10 of the flagship scenario so it can be sampled next to
-/// every repetition.
-pub fn calibrate() -> f64 {
-    let t0 = Instant::now();
-    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut acc: u64 = 0;
-    for _ in 0..100_000_000u64 {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        acc ^= z ^ (z >> 31);
-    }
-    std::hint::black_box(acc);
-    t0.elapsed().as_secs_f64()
-}
-/// The scenario the baseline was recorded on.
-pub const BASELINE_SCENARIO: &str = "teastore_2p256_512u_2s";
-
 /// One benchmark scenario: a deterministic full engine run.
 #[derive(Debug, Clone, Copy)]
 struct Scenario {
@@ -139,24 +59,12 @@ struct Scenario {
     /// Think-wakeup coalescing grain in ms (0 = exact per-user timers).
     coalesce_ms: u64,
     /// Parallel-in-run cell count (1 = the serial engine). The count is
-    /// part of the scenario: sharded event totals are deterministic *per
-    /// shard count*, so the gate must always compare like with like.
+    /// part of the scenario: sharded counts are deterministic *per cell
+    /// count*, so the gate must always compare like with like.
     shards: u32,
 }
 
-/// The flagship scenario — identical to the one the baseline was timed on.
-const FLAGSHIP: Scenario = Scenario {
-    name: BASELINE_SCENARIO,
-    big_machine: true,
-    users: 512,
-    think_ms: 20,
-    warmup_ms: 1000,
-    measure_ms: 2000,
-    coalesce_ms: 0,
-    shards: 1,
-};
-
-/// A desktop-sized scenario cheap enough for CI smoke runs.
+/// A desktop-sized scenario cheap enough for debug-mode tests.
 const DESKTOP: Scenario = Scenario {
     name: "teastore_desktop_64u_300ms",
     big_machine: false,
@@ -164,6 +72,18 @@ const DESKTOP: Scenario = Scenario {
     think_ms: 10,
     warmup_ms: 200,
     measure_ms: 300,
+    coalesce_ms: 0,
+    shards: 1,
+};
+
+/// The flagship scenario: the paper machine at 512 users, 2 s measured.
+const FLAGSHIP: Scenario = Scenario {
+    name: "teastore_2p256_512u_2s",
+    big_machine: true,
+    users: 512,
+    think_ms: 20,
+    warmup_ms: 1000,
+    measure_ms: 2000,
     coalesce_ms: 0,
     shards: 1,
 };
@@ -188,8 +108,7 @@ const MEGA: Scenario = Scenario {
 /// The sharded mega scenario: ten million closed-loop users split over 8
 /// conservative-lookahead cells (1.25M users per cell, each cell a full
 /// machine copy). The cell count is fixed at 8 — not the host's core count
-/// — so the simulated event totals are identical on every machine and the
-/// gate's events/s floor is comparable across hosts; worker threads scale
+/// — so the counts are identical on every machine; worker threads scale
 /// with the host separately. Think time scales with the population (same
 /// per-cell offered load as [`MEGA`]).
 const MEGA_SHARDED: Scenario = Scenario {
@@ -203,55 +122,63 @@ const MEGA_SHARDED: Scenario = Scenario {
     shards: 8,
 };
 
-/// Measured result of one scenario (best of `reps` repetitions).
+/// Every scenario, smallest first so the monotonic peak-RSS column mostly
+/// attributes each reading to its own scenario.
+const SCENARIOS: [Scenario; 4] = [DESKTOP, FLAGSHIP, MEGA, MEGA_SHARDED];
+
+/// Simulated-time horizon; every scenario's measurement window ends first.
+const UNTIL: SimTime = SimTime::from_secs(60);
+
+/// Result of one scenario run.
 #[derive(Debug, Clone)]
-pub struct PerfRun {
+struct PerfRun {
     /// Scenario name.
-    pub scenario: String,
-    /// Repetitions run (the minimum wall time is reported).
-    pub reps: usize,
-    /// Best wall-clock seconds.
-    pub wall_secs: f64,
-    /// Calendar events processed by the run.
-    pub events: u64,
-    /// Events per wall second at the best repetition.
-    pub events_per_sec: f64,
-    /// Requests completed in the measurement window.
-    pub completed: u64,
-    /// Process peak RSS (bytes) sampled right after the scenario. Monotonic
-    /// per process, so order scenarios smallest-first for per-scenario
-    /// attribution.
-    pub peak_rss_bytes: u64,
-    /// Simulation-state heap bytes (engine slabs + calendar + generator
-    /// user table) divided by the user population.
-    pub bytes_per_user: f64,
-    /// Allocations retired during the run (`alloc-count` feature only).
-    pub allocations: Option<u64>,
-    /// Live heap bytes held at the end of the run (`alloc-count` only).
-    pub live_bytes: Option<i64>,
-    /// Window-synchronization counters (sharded scenarios only).
-    pub sync: Option<SyncStats>,
-    /// Barrier crossings per simulated second (sharded scenarios only).
-    /// Deterministic per scenario, unlike the wall-clock columns.
-    pub barriers_per_sim_sec: Option<f64>,
-}
-
-struct OnceResult {
-    wall: f64,
+    scenario: &'static str,
+    /// Simulated closed-loop users.
+    users: u64,
+    /// Wall-clock seconds of the run (display only).
+    wall_secs: f64,
+    /// Process peak RSS (bytes) sampled right after the run (display only).
+    peak_rss_bytes: u64,
+    /// Calendar events processed.
     events: u64,
+    /// Requests completed in the measurement window.
     completed: u64,
-    /// Engine + generator footprint at end of run.
-    footprint: u64,
-    allocations: Option<u64>,
-    live_bytes: Option<i64>,
-    /// Sync counters and simulated seconds (sharded scenarios only).
-    sync: Option<(SyncStats, f64)>,
+    /// Peak simultaneous pending calendar events (summed over cells).
+    calendar_high_water: u64,
+    /// Scheduler counters over the measurement window.
+    sched: SchedStats,
+    /// Engine + generator heap bytes at the end of the run.
+    footprint_bytes: u64,
+    /// Window-synchronization counters (sharded scenarios only).
+    sync: Option<SyncStats>,
 }
 
-fn run_once(s: &Scenario) -> OnceResult {
-    if s.shards > 1 {
-        return run_once_sharded(s);
+impl PerfRun {
+    /// The gated counts as `(JSON field, value)`, in file order.
+    fn counts(&self) -> Vec<(&'static str, u64)> {
+        let mut counts = vec![
+            ("events", self.events),
+            ("completed", self.completed),
+            ("calendar_high_water", self.calendar_high_water),
+            ("sched_wakeups", self.sched.wakeups),
+            ("sched_context_switches", self.sched.context_switches),
+            ("sched_migrations", self.sched.migrations),
+            ("sched_steals", self.sched.steals),
+            ("footprint_bytes", self.footprint_bytes),
+        ];
+        if let Some(sync) = self.sync {
+            counts.extend([("rounds", sync.rounds), ("barriers", sync.barriers)]);
+        }
+        counts
     }
+}
+
+/// Builds the scenario's cells: each a full machine copy with the same
+/// deployment, the population split evenly, cell `c` seeded
+/// `mix_seed(1, c)`. A serial scenario is its cell 0, because
+/// `mix_seed(1, 0)` is the identity.
+fn cells(s: &Scenario) -> Vec<(Engine, ClosedLoop)> {
     let topo = Arc::new(if s.big_machine {
         cputopo::Topology::zen2_2p_128c()
     } else {
@@ -261,58 +188,8 @@ fn run_once(s: &Scenario) -> OnceResult {
     let mix = store.mix();
     let app = store.into_app();
     let deployment = Deployment::uniform(&app, &topo, 4, 12);
-    let mut engine = Engine::new(topo, EngineParams::default(), app, deployment, 1);
-    let mut load = ClosedLoop::new(s.users)
-        .think_time(SimDuration::from_millis(s.think_ms))
-        .mix(&mix)
-        .warmup(SimDuration::from_millis(s.warmup_ms))
-        .measure(SimDuration::from_millis(s.measure_ms));
-    if s.coalesce_ms > 0 {
-        load = load.coalesce(SimDuration::from_millis(s.coalesce_ms));
-    }
-    #[cfg(feature = "alloc-count")]
-    let alloc_before = alloc_count::snapshot();
-    let t0 = Instant::now();
-    engine.run(&mut load, SimTime::from_secs(60));
-    let wall = t0.elapsed().as_secs_f64();
-    #[cfg(feature = "alloc-count")]
-    let (allocations, live_bytes) = {
-        let after = alloc_count::snapshot();
-        (Some(after.0 - alloc_before.0), Some(after.1))
-    };
-    #[cfg(not(feature = "alloc-count"))]
-    let (allocations, live_bytes) = (None, None);
-    OnceResult {
-        wall,
-        events: engine.events_processed(),
-        completed: engine.report().completed,
-        footprint: (engine.footprint_bytes() + load.footprint_bytes()) as u64,
-        allocations,
-        live_bytes,
-        sync: None,
-    }
-}
-
-/// [`run_once`] for a sharded scenario: the same deployment per cell, the
-/// population split evenly, cross-cell traffic at the default 5% with the
-/// 1 ms lookahead window. Worker threads track the host's core count —
-/// the simulated results depend only on the cell count, not the workers.
-fn run_once_sharded(s: &Scenario) -> OnceResult {
-    let topo = Arc::new(if s.big_machine {
-        cputopo::Topology::zen2_2p_128c()
-    } else {
-        cputopo::Topology::desktop_8c()
-    });
-    let store = TeaStore::browse();
-    let mix = store.mix();
-    let app = store.into_app();
-    let deployment = Deployment::uniform(&app, &topo, 4, 12);
-    let spec = ShardSpec {
-        cells: s.shards,
-        cross_permille: 50,
-        latency: SimDuration::from_millis(1),
-    };
-    let cells: Vec<(Engine, ClosedLoop)> = (0..s.shards)
+    let shards = u64::from(s.shards);
+    (0..s.shards)
         .map(|c| {
             let engine = Engine::new(
                 topo.clone(),
@@ -321,8 +198,7 @@ fn run_once_sharded(s: &Scenario) -> OnceResult {
                 deployment.clone(),
                 mix_seed(1, c),
             );
-            let users = s.users / u64::from(s.shards)
-                + u64::from(u64::from(c) < s.users % u64::from(s.shards));
+            let users = s.users / shards + u64::from(u64::from(c) < s.users % shards);
             let mut load = ClosedLoop::new(users)
                 .think_time(SimDuration::from_millis(s.think_ms))
                 .mix(&mix)
@@ -333,261 +209,126 @@ fn run_once_sharded(s: &Scenario) -> OnceResult {
             }
             (engine, load)
         })
-        .collect();
-    let mut run = ShardedRun::new(cells, spec);
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    #[cfg(feature = "alloc-count")]
-    let alloc_before = alloc_count::snapshot();
+        .collect()
+}
+
+/// Runs one scenario: the serial engine for one cell, otherwise a
+/// [`ShardedRun`] with cross-cell traffic at the default 5% and the 1 ms
+/// lookahead window. Worker threads track the host's core count — the
+/// counts depend only on the cell count, not the workers.
+fn run_scenario(s: &Scenario) -> PerfRun {
+    let mut cells = cells(s);
     let t0 = Instant::now();
-    run.run(SimTime::from_secs(60), workers);
-    let wall = t0.elapsed().as_secs_f64();
-    let sim_secs = (run.now().as_nanos() as f64 / 1e9).max(1e-9);
-    let sync = Some((run.sync_stats(), sim_secs));
-    #[cfg(feature = "alloc-count")]
-    let (allocations, live_bytes) = {
-        let after = alloc_count::snapshot();
-        (Some(after.0 - alloc_before.0), Some(after.1))
+    let (wall_secs, report, driver_bytes, sync) = if s.shards == 1 {
+        let (mut engine, mut load) = cells.pop().expect("one cell");
+        engine.run(&mut load, UNTIL);
+        let wall = t0.elapsed().as_secs_f64();
+        (wall, engine.report(), load.footprint_bytes() as u64, None)
+    } else {
+        let spec = ShardSpec {
+            cells: s.shards,
+            cross_permille: 50,
+            latency: SimDuration::from_millis(1),
+        };
+        let mut run = ShardedRun::new(cells, spec);
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        run.run(UNTIL, workers);
+        let wall = t0.elapsed().as_secs_f64();
+        let driver_bytes = run
+            .drivers()
+            .map(|d| d.inner().footprint_bytes() as u64)
+            .sum();
+        (wall, run.report(), driver_bytes, Some(run.sync_stats()))
     };
-    #[cfg(not(feature = "alloc-count"))]
-    let (allocations, live_bytes) = (None, None);
-    let report = run.report();
-    let driver_bytes: u64 = run.drivers().map(|d| d.inner().footprint_bytes() as u64).sum();
-    OnceResult {
-        wall,
-        events: run.events_processed(),
+    PerfRun {
+        scenario: s.name,
+        users: s.users,
+        wall_secs,
+        peak_rss_bytes: peak_rss_bytes(),
+        events: report.events_processed,
         completed: report.completed,
-        footprint: report.engine_footprint_bytes + driver_bytes,
-        allocations,
-        live_bytes,
+        calendar_high_water: report.calendar_high_water,
+        sched: report.sched,
+        footprint_bytes: report.engine_footprint_bytes + driver_bytes,
         sync,
     }
 }
 
-fn measure(s: &Scenario, reps: usize) -> PerfRun {
-    measure_paired(s, reps, false).0
-}
-
-/// Runs `reps` repetitions; with `paired`, samples [`calibrate`] right before
-/// each repetition so every wall time has a host-speed reading taken under
-/// the same machine conditions. Returns the best-of run plus the
-/// `(calib_secs, wall_secs)` pairs.
-fn measure_paired(s: &Scenario, reps: usize, paired: bool) -> (PerfRun, Vec<(f64, f64)>) {
-    let mut pairs = Vec::with_capacity(reps);
-    let mut best_wall = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..reps {
-        let calib = if paired { calibrate() } else { 0.0 };
-        let once = run_once(s);
-        best_wall = best_wall.min(once.wall);
-        pairs.push((calib, once.wall));
-        last = Some(once);
-    }
-    let last = last.expect("at least one repetition");
-    (
-        PerfRun {
-            scenario: s.name.to_owned(),
-            reps,
-            wall_secs: best_wall,
-            events: last.events,
-            events_per_sec: last.events as f64 / best_wall,
-            completed: last.completed,
-            peak_rss_bytes: peak_rss_bytes(),
-            bytes_per_user: last.footprint as f64 / s.users as f64,
-            allocations: last.allocations,
-            live_bytes: last.live_bytes,
-            sync: last.sync.map(|(stats, _)| stats),
-            barriers_per_sim_sec: last
-                .sync
-                .map(|(stats, sim_secs)| stats.barriers as f64 / sim_secs),
-        },
-        pairs,
-    )
-}
-
 /// Runs the self-benchmark and renders the human table plus the JSON body
 /// of `results/BENCH_simperf.json`.
-///
-/// `quick` limits the run to the desktop scenario with fewer repetitions
-/// (used by the CI smoke job); the speedup-vs-baseline figure needs the full
-/// mode, which times the flagship scenario the baseline was recorded on.
-pub fn run(quick: bool) -> (String, String) {
-    // Scenarios run smallest-first so the monotonic peak-RSS column mostly
-    // attributes each reading to its own scenario.
-    let (runs, pairs): (Vec<PerfRun>, Vec<(f64, f64)>) = if quick {
-        (
-            vec![
-                measure(&DESKTOP, 2),
-                measure(&MEGA, 1),
-                measure(&MEGA_SHARDED, 1),
-            ],
-            Vec::new(),
-        )
-    } else {
-        let desktop = measure(&DESKTOP, 3);
-        let (flagship, pairs) = measure_paired(&FLAGSHIP, 6, true);
-        (
-            vec![
-                desktop,
-                flagship,
-                measure(&MEGA, 2),
-                measure(&MEGA_SHARDED, 2),
-            ],
-            pairs,
-        )
-    };
-    render(&runs, &pairs)
+pub fn run() -> (String, String) {
+    let runs: Vec<PerfRun> = SCENARIOS.iter().map(run_scenario).collect();
+    render(&runs)
 }
 
-/// Renders the human table and JSON body for already-measured runs.
-fn render(runs: &[PerfRun], pairs: &[(f64, f64)]) -> (String, String) {
-    // The host drifts in speed, and interference only ever *adds* time, to
-    // the calibration sample and the scenario alike. The repetition with the
-    // best paired calibration-to-wall ratio therefore ran under the least
-    // interference and gives the least noise-inflated speedup estimate.
-    let speedup_info = pairs
-        .iter()
-        .copied()
-        .max_by(|a, b| (a.0 / a.1).total_cmp(&(b.0 / b.1)))
-        .map(|(calib, wall)| {
-            let host_factor = calib / BASELINE_CALIB_SECS;
-            let adjusted_baseline = BASELINE_WALL_SECS * host_factor;
-            (calib, wall, host_factor, adjusted_baseline)
-        });
-
+/// Renders the human table and the JSON body for already-measured runs.
+/// The JSON carries the counts only, one run object per line.
+fn render(runs: &[PerfRun]) -> (String, String) {
     let mut table = String::from(
-        "perf: simulator self-benchmark (best wall time over repetitions)\nscenario                        reps    wall s       events      events/s   completed  peak MiB    B/user\n",
+        "perf: simulator self-benchmark (one run each; wall s, events/s and peak MiB are host-dependent display)\nscenario                          wall s       events      events/s   completed  peak MiB    B/user\n",
     );
     for r in runs {
         let _ = writeln!(
             table,
-            "{:<30} {:>5} {:>9.3} {:>12} {:>13.0} {:>11} {:>9.1} {:>9.1}",
+            "{:<30} {:>9.3} {:>12} {:>13.0} {:>11} {:>9.1} {:>9.1}",
             r.scenario,
-            r.reps,
             r.wall_secs,
             r.events,
-            r.events_per_sec,
+            r.events as f64 / r.wall_secs,
             r.completed,
             r.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-            r.bytes_per_user,
+            r.footprint_bytes as f64 / r.users as f64,
         );
-        if let (Some(sync), Some(bpss)) = (r.sync, r.barriers_per_sim_sec) {
+        if let Some(sync) = r.sync {
             let _ = writeln!(
                 table,
-                "{:<30} sync: {} barriers ({:.0}/sim-s), {} rounds",
-                "", sync.barriers, bpss, sync.rounds
-            );
-        }
-        if let (Some(allocs), Some(live)) = (r.allocations, r.live_bytes) {
-            let _ = writeln!(
-                table,
-                "{:<30} allocations {} live bytes {}",
-                "", allocs, live
+                "{:<30} sync: {} barriers, {} rounds",
+                "", sync.barriers, sync.rounds
             );
         }
     }
-    let _ = writeln!(
-        table,
-        "baseline: {BASELINE_WALL_SECS:.3} s for {BASELINE_SCENARIO} at {BASELINE_COMMIT} (pre-overhaul)"
-    );
-    match speedup_info {
-        Some((calib, wall, host_factor, adjusted_baseline)) => {
-            let _ = writeln!(
-                table,
-                "host calibration: {calib:.3} s beside the best repetition vs {BASELINE_CALIB_SECS:.3} s at recording (x{host_factor:.2}) -> baseline {adjusted_baseline:.3} s at today's host speed"
-            );
-            let _ = writeln!(
-                table,
-                "speedup vs baseline: {:.2}x ({adjusted_baseline:.3} s / {wall:.3} s, host-speed matched)",
-                adjusted_baseline / wall
-            );
-        }
-        None => {
-            let _ = writeln!(
-                table,
-                "(quick mode skips the flagship scenario; run `repro perf` for the speedup figure)"
-            );
-        }
-    }
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"baseline\": {{ \"commit\": \"{BASELINE_COMMIT}\", \"scenario\": \"{BASELINE_SCENARIO}\", \"wall_secs\": {BASELINE_WALL_SECS}, \"calib_secs\": {BASELINE_CALIB_SECS} }},"
-    );
-    if let Some((calib, wall, host_factor, adjusted_baseline)) = speedup_info {
-        let _ = writeln!(
-            json,
-            "  \"host_calibration\": {{ \"measured_secs\": {calib:.6}, \"factor\": {host_factor:.4}, \"baseline_wall_secs_adjusted\": {adjusted_baseline:.6}, \"paired_wall_secs\": {wall:.6} }},"
-        );
-    }
-    json.push_str("  \"runs\": [\n");
+    let mut json = String::from("{\n  \"runs\": [\n");
     for (i, r) in runs.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{ \"scenario\": \"{}\", \"reps\": {}, \"wall_secs\": {:.6}, \"events\": {}, \"events_per_sec\": {:.0}, \"completed\": {}, \"peak_rss_bytes\": {}, \"bytes_per_user\": {:.1}",
-            r.scenario,
-            r.reps,
-            r.wall_secs,
-            r.events,
-            r.events_per_sec,
-            r.completed,
-            r.peak_rss_bytes,
-            r.bytes_per_user
-        );
-        if let (Some(sync), Some(bpss)) = (r.sync, r.barriers_per_sim_sec) {
-            let _ = write!(
-                json,
-                ", \"barriers\": {}, \"barriers_per_sim_sec\": {:.1}, \"rounds\": {}",
-                sync.barriers, bpss, sync.rounds
-            );
-        }
-        if let (Some(allocs), Some(live)) = (r.allocations, r.live_bytes) {
-            let _ = write!(json, ", \"allocations\": {allocs}, \"live_bytes\": {live}");
+        let _ = write!(json, "    {{ \"scenario\": \"{}\"", r.scenario);
+        for (field, value) in r.counts() {
+            let _ = write!(json, ", \"{field}\": {value}");
         }
         json.push_str(" }");
         json.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
     }
-    json.push_str("  ],\n");
-    match speedup_info {
-        Some((_, wall, _, adjusted_baseline)) => {
-            let _ = writeln!(json, "  \"speedup_vs_baseline\": {:.3}", adjusted_baseline / wall);
-        }
-        None => {
-            json.push_str("  \"speedup_vs_baseline\": null\n");
-        }
-    }
-    json.push_str("}\n");
+    json.push_str("  ]\n}\n");
     (table, json)
 }
 
 // ---------------------------------------------------------------- CI gate
 
-/// Extracts `(scenario, events_per_sec)` pairs from a `BENCH_simperf.json`
-/// body. Scans the run objects only — the `baseline` header object names a
-/// scenario but carries no `events_per_sec` inside its braces.
-pub fn parse_runs(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for chunk in json.split("\"scenario\": \"").skip(1) {
-        let Some(name_end) = chunk.find('"') else {
+/// One parsed run object: scenario name and its `(field, count)` pairs.
+type Row = (String, Vec<(String, u64)>);
+
+/// Parses a `BENCH_simperf.json` body as [`render`] writes it: one run
+/// object per line. A field whose value is not an integer count is an
+/// error, so a file in any other format fails loudly.
+fn parse_runs(json: &str) -> Result<Vec<Row>, String> {
+    let mut rows = Vec::new();
+    for line in json.lines() {
+        let Some(body) = line.trim().strip_prefix("{ \"scenario\": \"") else {
             continue;
         };
-        let name = &chunk[..name_end];
-        let obj = &chunk[..chunk.find('}').unwrap_or(chunk.len())];
-        if let Some(eps) = parse_field(obj, "\"events_per_sec\": ") {
-            out.push((name.to_owned(), eps));
+        let (name, rest) = body
+            .split_once('"')
+            .ok_or("perf gate: unterminated scenario name")?;
+        let mut fields = Vec::new();
+        for pair in rest.split(", \"").skip(1) {
+            let (field, value) = pair.split_once("\": ").unwrap_or((pair, ""));
+            let value = value.trim_end_matches([' ', '}', ',']);
+            let count = value
+                .parse()
+                .map_err(|_| format!("perf gate: {name}.{field} = {value:?} is not a count"))?;
+            fields.push((field.to_owned(), count));
         }
+        rows.push((name.to_owned(), fields));
     }
-    out
-}
-
-/// Parses the number following `key` in a JSON body we generated ourselves.
-fn parse_field(json: &str, key: &str) -> Option<f64> {
-    let rest = &json[json.find(key)? + key.len()..];
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-        .collect();
-    num.parse().ok()
+    Ok(rows)
 }
 
 /// Reads the committed gate baseline, failing with an actionable message —
@@ -616,70 +357,56 @@ pub fn gate_requires_perf(wanted: &[String], gate_requested: bool) -> Result<(),
     Ok(())
 }
 
-/// The regression tripwire behind `repro --gate`: compares the current
-/// results against a committed baseline JSON and fails when any scenario
-/// present in both runs below `threshold` × its committed events/s, after
-/// scaling the committed figure to this host's speed (paired [`calibrate`]
-/// samples: a slower CI runner lowers the bar, a faster one raises it).
-pub fn gate(committed_json: &str, current_json: &str, threshold: f64) -> Result<String, String> {
-    gate_with_calib(committed_json, current_json, threshold, calibrate())
-}
-
-/// [`gate`] with the host calibration sample injected (testable form).
-pub fn gate_with_calib(
-    committed_json: &str,
-    current_json: &str,
-    threshold: f64,
-    host_calib_secs: f64,
-) -> Result<String, String> {
-    let committed_calib =
-        parse_field(committed_json, "\"measured_secs\": ").unwrap_or(BASELINE_CALIB_SECS);
-    // Calibration measures seconds per fixed work unit, so a *slower* host
-    // has a larger sample and scales the expected events/s *down*.
-    let host_factor = committed_calib / host_calib_secs;
-    let committed = parse_runs(committed_json);
-    let current = parse_runs(current_json);
-    let mut report = format!(
-        "perf gate: host speed x{host_factor:.2} vs committed baseline (calib {committed_calib:.3}s then, {host_calib_secs:.3}s now); floor {:.0}% of adjusted events/s\n",
-        threshold * 100.0
-    );
-    let mut compared = 0;
-    let mut failed = false;
-    // Per-scenario verdicts: every committed scenario gets its own line —
-    // a pass, a fail, or an explicit skip. A scenario absent from the
-    // current run (e.g. the flagship, which quick mode doesn't time) used
-    // to vanish silently, which read as "covered" when it wasn't.
-    for (name, base_eps) in &committed {
-        let Some((_, cur_eps)) = current.iter().find(|(n, _)| n == name) else {
-            let _ = writeln!(report, "  {name}: skipped (not timed by this run mode)");
+/// The regression tripwire behind `repro --gate`: every scenario and every
+/// count must match the committed baseline exactly. A scenario or field on
+/// one side only fails too, and each failure line names the scenario, the
+/// field and both values.
+pub fn gate(committed_json: &str, current_json: &str) -> Result<String, String> {
+    let committed = parse_runs(committed_json)?;
+    let current = parse_runs(current_json)?;
+    let mut report = String::from("perf gate: exact counts vs the committed baseline\n");
+    let mut failed = committed.is_empty();
+    if failed {
+        report.push_str("  the committed baseline has no runs\n");
+    }
+    for (name, base) in &committed {
+        let Some((_, now)) = current.iter().find(|(n, _)| n == name) else {
+            failed = true;
+            let _ = writeln!(report, "  {name}: committed, but not run now -> MISSING");
             continue;
         };
-        compared += 1;
-        let floor = base_eps * host_factor * threshold;
-        let ok = *cur_eps >= floor;
-        failed |= !ok;
-        let _ = writeln!(
-            report,
-            "  {name}: {cur_eps:.0} events/s vs floor {floor:.0} (committed {base_eps:.0}) -> {}",
-            if ok { "ok" } else { "REGRESSED" }
-        );
-    }
-    // The converse — a freshly timed scenario with no committed floor —
-    // also gets called out, so a new scenario can't ride ungated forever.
-    for (name, _) in &current {
-        if !committed.iter().any(|(n, _)| n == name) {
+        let value = |row: &[(String, u64)], field: &str| {
+            row.iter()
+                .find(|(f, _)| f == field)
+                .map_or("absent".to_owned(), |(_, v)| v.to_string())
+        };
+        let extra = now
+            .iter()
+            .filter(|(f, _)| !base.iter().any(|(b, _)| b == f));
+        let differ: Vec<&str> = (base.iter().chain(extra))
+            .map(|(f, _)| f.as_str())
+            .filter(|f| value(base, f) != value(now, f))
+            .collect();
+        for field in &differ {
+            let (then, now) = (value(base, field), value(now, field));
             let _ = writeln!(
                 report,
-                "  {name}: no committed floor (re-run `repro perf` and commit the baseline)"
+                "  {name}.{field}: committed {then}, now {now} -> CHANGED"
             );
         }
+        if differ.is_empty() {
+            let _ = writeln!(report, "  {name}: {} counts match", base.len());
+        }
+        failed |= !differ.is_empty();
     }
-    if compared == 0 {
-        return Err(format!(
-            "{report}  no scenario common to the committed baseline and the current run\n"
-        ));
+    for (name, _) in &current {
+        if !committed.iter().any(|(n, _)| n == name) {
+            failed = true;
+            let _ = writeln!(report, "  {name}: run now, but not committed -> UNGATED");
+        }
     }
     if failed {
+        report.push_str("  (an intended change re-records the file: run `repro perf` and commit results/BENCH_simperf.json)\n");
         Err(report)
     } else {
         Ok(report)
@@ -693,18 +420,23 @@ mod tests {
     #[test]
     fn desktop_scenario_runs_and_renders_json() {
         // The measurement itself, on the cheap scenario only — the mega
-        // scenario belongs to release-mode `repro perf`, not debug tests.
-        let (run, _) = measure_paired(&DESKTOP, 1, false);
+        // scenarios belong to release-mode `repro perf`, not debug tests.
+        let run = run_scenario(&DESKTOP);
         assert!(run.completed > 100, "completed {}", run.completed);
-        assert!(run.bytes_per_user > 0.0);
-        let (table, json) = render(std::slice::from_ref(&run), &[]);
+        let (table, json) = render(std::slice::from_ref(&run));
         assert!(table.contains("teastore_desktop_64u_300ms"));
-        assert!(table.contains("baseline"));
         assert!(table.contains("B/user"));
-        assert!(json.contains("\"events_per_sec\""));
-        assert!(json.contains("\"peak_rss_bytes\""));
-        assert!(json.contains("\"bytes_per_user\""));
-        assert!(json.contains("\"speedup_vs_baseline\": null"));
+        // The counts are host-independent, so the committed file pins them
+        // the way goldens do: a change that moves one re-records the file.
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results/BENCH_simperf.json");
+        let committed = parse_runs(&read_baseline(&path).unwrap()).unwrap();
+        let row = committed.into_iter().find(|(n, _)| n == DESKTOP.name);
+        assert_eq!(
+            parse_runs(&json).unwrap(),
+            vec![row.expect("the committed file has a desktop row")],
+            "counts moved: re-record results/BENCH_simperf.json with `repro perf`"
+        );
     }
 
     #[test]
@@ -741,17 +473,15 @@ mod tests {
             coalesce_ms: 0,
             shards: 2,
         };
-        let (run, _) = measure_paired(&spec, 1, false);
+        let run = run_scenario(&spec);
         let sync = run.sync.expect("sharded run must report sync stats");
         assert!(sync.barriers > 0);
-        let bpss = run.barriers_per_sim_sec.expect("barriers per sim second");
-        assert!(bpss > 0.0);
-        let (table, json) = render(std::slice::from_ref(&run), &[]);
+        let (table, json) = render(std::slice::from_ref(&run));
         assert!(table.contains("sync:"), "table: {table}");
-        assert!(json.contains("\"barriers_per_sim_sec\""), "json: {json}");
-        // The gate parser must still find the scenario despite the extra
-        // fields.
-        assert_eq!(parse_runs(&json).len(), 1);
+        let rows = parse_runs(&json).unwrap();
+        assert_eq!(rows.len(), 1, "json: {json}");
+        let fields: Vec<&str> = rows[0].1.iter().map(|(f, _)| f.as_str()).collect();
+        assert!(fields.ends_with(&["rounds", "barriers"]), "json: {json}");
     }
 
     #[cfg(target_os = "linux")]
@@ -760,70 +490,105 @@ mod tests {
         assert!(peak_rss_bytes() > 0, "VmHWM should be nonzero on Linux");
     }
 
-    const COMMITTED: &str = r#"{
-  "baseline": { "commit": "abc", "scenario": "flagship", "wall_secs": 1.0, "calib_secs": 0.2 },
-  "host_calibration": { "measured_secs": 0.200000, "factor": 1.0, "baseline_wall_secs_adjusted": 1.0, "paired_wall_secs": 1.0 },
-  "runs": [
-    { "scenario": "desk", "reps": 2, "wall_secs": 1.0, "events": 1000, "events_per_sec": 1000, "completed": 10, "peak_rss_bytes": 1, "bytes_per_user": 1.0 }
-  ],
-  "speedup_vs_baseline": 1.0
-}"#;
-
-    fn current(eps: u64) -> String {
-        COMMITTED.replace("\"events_per_sec\": 1000", &format!("\"events_per_sec\": {eps}"))
+    /// Two synthetic runs, one sharded; every count distinct so a textual
+    /// bump of one `"field": value` pair hits exactly that field.
+    fn sample(names: [&'static str; 2]) -> String {
+        let run = |scenario, base: u64, sync| PerfRun {
+            scenario,
+            users: 10,
+            wall_secs: 1.0,
+            peak_rss_bytes: 1,
+            events: base + 1,
+            completed: base + 2,
+            calendar_high_water: base + 3,
+            sched: SchedStats {
+                wakeups: base + 4,
+                context_switches: base + 5,
+                migrations: base + 6,
+                steals: base + 7,
+            },
+            footprint_bytes: base + 8,
+            sync,
+        };
+        let sync = SyncStats {
+            rounds: 1009,
+            barriers: 1010,
+            ..SyncStats::default()
+        };
+        render(&[run(names[0], 100, None), run(names[1], 1000, Some(sync))]).1
     }
 
     #[test]
-    fn parse_runs_skips_the_baseline_header() {
-        let runs = parse_runs(COMMITTED);
-        assert_eq!(runs, vec![("desk".to_owned(), 1000.0)]);
+    fn gate_passes_identical_bodies() {
+        let body = sample(["desk", "mega"]);
+        let report = gate(&body, &body).unwrap();
+        assert!(report.contains("desk: 8 counts match"), "report: {report}");
+        assert!(report.contains("mega: 10 counts match"), "report: {report}");
     }
 
     #[test]
-    fn gate_passes_above_and_fails_below_the_floor() {
-        // Same host speed (calib 0.2 both sides): floor is 500 events/s.
-        assert!(gate_with_calib(COMMITTED, &current(501), 0.5, 0.2).is_ok());
-        let err = gate_with_calib(COMMITTED, &current(499), 0.5, 0.2);
-        assert!(err.is_err());
-        assert!(err.unwrap_err().contains("REGRESSED"));
+    fn gate_fails_on_each_field_changed_by_one_or_dropped() {
+        let body = sample(["desk", "mega"]);
+        for (name, fields) in parse_runs(&body).unwrap() {
+            for (field, value) in fields {
+                let pair = format!(", \"{field}\": {value}");
+                let next = value + 1;
+                let bumped = (format!(", \"{field}\": {next}"), next.to_string());
+                let dropped = (String::new(), "absent".to_owned());
+                for (edit, now) in [bumped, dropped] {
+                    let report = gate(&body, &body.replacen(&pair, &edit, 1)).unwrap_err();
+                    let line = format!("{name}.{field}: committed {value}, now {now}");
+                    assert!(report.contains(&line), "want {line:?} in {report}");
+                    assert_eq!(report.matches("CHANGED").count(), 1, "report: {report}");
+                }
+            }
+        }
+    }
+
+    /// `body` without the run line of scenario `name`.
+    fn without(body: &str, name: &str) -> String {
+        let keep = |line: &&str| !line.contains(&format!("\"scenario\": \"{name}\""));
+        body.lines().filter(keep).collect::<Vec<_>>().join("\n")
     }
 
     #[test]
-    fn gate_adjusts_the_floor_for_host_speed() {
-        // A 2x-slower host (calib 0.4 vs 0.2) halves the floor to 250.
-        assert!(gate_with_calib(COMMITTED, &current(260), 0.5, 0.4).is_ok());
-        assert!(gate_with_calib(COMMITTED, &current(240), 0.5, 0.4).is_err());
+    fn gate_fails_when_a_committed_scenario_is_not_run() {
+        let committed = sample(["desk", "mega"]);
+        let report = gate(&committed, &without(&committed, "desk")).unwrap_err();
+        assert!(
+            report.contains("desk: committed, but not run now"),
+            "report: {report}"
+        );
+        assert!(report.contains("mega: 10 counts match"), "report: {report}");
+    }
+
+    #[test]
+    fn gate_fails_on_an_extra_scenario_in_the_run() {
+        let current = sample(["desk", "mega"]);
+        let report = gate(&without(&current, "mega"), &current).unwrap_err();
+        assert!(
+            report.contains("mega: run now, but not committed"),
+            "report: {report}"
+        );
+        assert!(report.contains("desk: 8 counts match"), "report: {report}");
     }
 
     #[test]
     fn gate_rejects_disjoint_scenario_sets() {
-        let other = COMMITTED.replace("\"scenario\": \"desk\"", "\"scenario\": \"mega\"");
-        assert!(gate_with_calib(COMMITTED, &other, 0.5, 0.2).is_err());
+        let report = gate(&sample(["a", "b"]), &sample(["c", "d"])).unwrap_err();
+        for line in [
+            "a: committed, but not run now",
+            "c: run now, but not committed",
+        ] {
+            assert!(report.contains(line), "want {line:?} in {report}");
+        }
     }
 
     #[test]
-    fn gate_names_skipped_and_ungated_scenarios() {
-        // Two committed scenarios, one timed by the current (quick-style)
-        // run: the missing one must appear as an explicit skip line, not
-        // vanish.
-        let committed = COMMITTED.replace(
-            "\"runs\": [\n",
-            "\"runs\": [\n    { \"scenario\": \"flagship_only_in_full\", \"reps\": 1, \"wall_secs\": 1.0, \"events\": 1000, \"events_per_sec\": 1000, \"completed\": 10, \"peak_rss_bytes\": 1, \"bytes_per_user\": 1.0 },\n",
-        );
-        let report = gate_with_calib(&committed, &current(900), 0.5, 0.2).unwrap();
-        assert!(
-            report.contains("flagship_only_in_full: skipped (not timed by this run mode)"),
-            "report: {report}"
-        );
-        assert!(report.contains("desk: 900"), "report: {report}");
-        // And a freshly added scenario with no committed floor is called
-        // out rather than riding ungated.
-        let current_extra = current(900).replace(
-            "\"runs\": [\n",
-            "\"runs\": [\n    { \"scenario\": \"brand_new\", \"reps\": 1, \"wall_secs\": 1.0, \"events\": 1000, \"events_per_sec\": 1000, \"completed\": 10, \"peak_rss_bytes\": 1, \"bytes_per_user\": 1.0 },\n",
-        );
-        let report = gate_with_calib(COMMITTED, &current_extra, 0.5, 0.2).unwrap();
-        assert!(report.contains("brand_new: no committed floor"), "report: {report}");
+    fn gate_rejects_a_file_in_another_format() {
+        let old = "{ \"scenario\": \"desk\", \"reps\": 2, \"wall_secs\": 0.5 }";
+        let err = gate(old, &sample(["desk", "mega"])).unwrap_err();
+        assert!(err.contains("desk.wall_secs"), "message: {err}");
     }
 
     #[test]
