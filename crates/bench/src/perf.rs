@@ -3,7 +3,7 @@
 //! `repro perf` runs four fixed scenarios once each and writes
 //! `results/BENCH_simperf.json`: per scenario, the counts the run reports
 //! already carry — calendar events, completions, calendar high water, the
-//! scheduler counters, engine + generator footprint bytes, and for the
+//! scheduler counters, engine and generator footprint bytes, and for the
 //! sharded scenario its rounds and barriers. The simulation is
 //! deterministic, so these integers are the same on every host and at any
 //! worker count, and `--gate` demands exact equality. Wall time, events/s,
@@ -148,8 +148,11 @@ struct PerfRun {
     calendar_high_water: u64,
     /// Scheduler counters over the measurement window.
     sched: SchedStats,
-    /// Engine + generator heap bytes at the end of the run.
-    footprint_bytes: u64,
+    /// Engine heap bytes at the end of the run (summed over cells).
+    engine_footprint_bytes: u64,
+    /// Load-generator heap bytes at the end of the run (summed over cells):
+    /// the coalesced user table, 0 for exact per-user timers.
+    loadgen_footprint_bytes: u64,
     /// Window-synchronization counters (sharded scenarios only).
     sync: Option<SyncStats>,
 }
@@ -165,7 +168,8 @@ impl PerfRun {
             ("sched_context_switches", self.sched.context_switches),
             ("sched_migrations", self.sched.migrations),
             ("sched_steals", self.sched.steals),
-            ("footprint_bytes", self.footprint_bytes),
+            ("engine_footprint_bytes", self.engine_footprint_bytes),
+            ("loadgen_footprint_bytes", self.loadgen_footprint_bytes),
         ];
         if let Some(sync) = self.sync {
             counts.extend([("rounds", sync.rounds), ("barriers", sync.barriers)]);
@@ -249,7 +253,8 @@ fn run_scenario(s: &Scenario) -> PerfRun {
         completed: report.completed,
         calendar_high_water: report.calendar_high_water,
         sched: report.sched,
-        footprint_bytes: report.engine_footprint_bytes + driver_bytes,
+        engine_footprint_bytes: report.engine_footprint_bytes,
+        loadgen_footprint_bytes: driver_bytes,
         sync,
     }
 }
@@ -277,7 +282,7 @@ fn render(runs: &[PerfRun]) -> (String, String) {
             r.events as f64 / r.wall_secs,
             r.completed,
             r.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-            r.footprint_bytes as f64 / r.users as f64,
+            (r.engine_footprint_bytes + r.loadgen_footprint_bytes) as f64 / r.users as f64,
         );
         if let Some(sync) = r.sync {
             let _ = writeln!(
@@ -507,12 +512,13 @@ mod tests {
                 migrations: base + 6,
                 steals: base + 7,
             },
-            footprint_bytes: base + 8,
+            engine_footprint_bytes: base + 8,
+            loadgen_footprint_bytes: base + 9,
             sync,
         };
         let sync = SyncStats {
-            rounds: 1009,
-            barriers: 1010,
+            rounds: 1010,
+            barriers: 1011,
             ..SyncStats::default()
         };
         render(&[run(names[0], 100, None), run(names[1], 1000, Some(sync))]).1
@@ -522,13 +528,16 @@ mod tests {
     fn gate_passes_identical_bodies() {
         let body = sample(["desk", "mega"]);
         let report = gate(&body, &body).unwrap();
-        assert!(report.contains("desk: 8 counts match"), "report: {report}");
-        assert!(report.contains("mega: 10 counts match"), "report: {report}");
+        assert!(report.contains("desk: 9 counts match"), "report: {report}");
+        assert!(report.contains("mega: 11 counts match"), "report: {report}");
     }
 
     #[test]
     fn gate_fails_on_each_field_changed_by_one_or_dropped() {
         let body = sample(["desk", "mega"]);
+        for layer in ["engine_footprint_bytes", "loadgen_footprint_bytes"] {
+            assert_eq!(body.matches(&format!("\"{layer}\": ")).count(), 2, "{body}");
+        }
         for (name, fields) in parse_runs(&body).unwrap() {
             for (field, value) in fields {
                 let pair = format!(", \"{field}\": {value}");
@@ -559,7 +568,7 @@ mod tests {
             report.contains("desk: committed, but not run now"),
             "report: {report}"
         );
-        assert!(report.contains("mega: 10 counts match"), "report: {report}");
+        assert!(report.contains("mega: 11 counts match"), "report: {report}");
     }
 
     #[test]
@@ -570,7 +579,7 @@ mod tests {
             report.contains("mega: run now, but not committed"),
             "report: {report}"
         );
-        assert!(report.contains("desk: 8 counts match"), "report: {report}");
+        assert!(report.contains("desk: 9 counts match"), "report: {report}");
     }
 
     #[test]

@@ -61,32 +61,52 @@ const TOKEN_ARRIVAL: u64 = u64::MAX - 2;
 /// (user ids are bounded by the u32 population limit).
 const TOKEN_BUCKET_BIT: u64 = 1 << 62;
 
+/// End of a bucket's user list in [`UserTable::next`]. User ids stay below
+/// it: a coalesced loop has at most `u32::MAX` users.
+const NIL: u32 = u32::MAX;
+
+/// Offset of `deadline_ns` inside its wake bucket
+/// `key = ⌈deadline_ns / grain_ns⌉`, in `1..=grain_ns`: the bucket covers
+/// `((key − 1)·grain, key·grain]`, and bucket 0 holds deadline 0 alone.
+fn offset_in_bucket(deadline_ns: u64, key: u64, grain_ns: u64) -> u32 {
+    match key {
+        0 => grain_ns as u32,
+        _ => (deadline_ns - (key - 1) * grain_ns) as u32,
+    }
+}
+
 /// Source of rollback-point stamps. One counter for the process, so a
 /// stamp names one point of one loop and a stale or foreign bare buffer
 /// can never match. Stamps are only compared for equality; they never
 /// reach simulated state.
 static NEXT_POINT: AtomicU64 = AtomicU64::new(1);
 
-/// Wake-up bookkeeping for a coalesced closed loop: a structure-of-arrays
-/// user table plus the pending wake buckets.
+/// Wake-up bookkeeping for a coalesced closed loop: two dense per-user
+/// columns plus one small map from wake bucket to list head.
 ///
 /// Instead of one live calendar timer per sleeping user (1M users = 1M
-/// pending timers), users are parked here: `deadline_ns[user]` packs each
-/// user's exact think-deadline, and `buckets` groups users by quantized
-/// wake instant, with **one** engine timer per non-empty bucket. When a
-/// bucket fires its users are released in deadline order, so the intent
-/// ordering of the un-coalesced loop is preserved within a grain.
+/// pending timers), users are parked here, grouped by quantized wake
+/// instant, with **one** engine timer per non-empty bucket. Bucket `key`
+/// covers the deadlines in `((key − 1)·grain, key·grain]`; its users form
+/// an intrusive list through `next`, and `pos` holds each user's offset
+/// inside the bucket, so a user costs 8 bytes and parking one allocates
+/// nothing. When a bucket fires its users are released in (deadline, id)
+/// order, so the intent ordering of the un-coalesced loop is preserved
+/// within a grain.
 #[derive(Debug, Clone, Default)]
 struct UserTable {
-    /// Packed think-deadline (absolute ns) per user id; index is the id.
-    deadline_ns: Vec<u64>,
-    /// Quantized wake instant (`fire_ns / grain_ns`) → sleeping user ids.
+    /// Bucket width in ns; 0 = exact mode, where the table stays empty.
+    grain_ns: u64, // simlint: allow(S1) — config, fixed at construction
+    /// Offset of a parked user's deadline inside its bucket,
+    /// `deadline − (key − 1)·grain` in `1..=grain`; index is the id.
+    /// Stale for a user that is not parked.
+    pos: Vec<u32>,
+    /// The next user of the same bucket, or [`NIL`]; index is the id.
+    next: Vec<u32>, // simlint: allow(S1) — saved as the buckets' id lists, walked by `wake_keys`
+    /// Bucket key (`fire_ns / grain_ns`) → first user of its list.
     /// Deterministically hashed so the capacity — and with it the reported
     /// footprint — is identical on every run.
-    buckets: DetHashMap<u64, Vec<u32>>,
-    /// Drained bucket vectors kept for reuse, so steady state allocates
-    /// nothing on the wake path.
-    spare: Vec<Vec<u32>>,
+    heads: DetHashMap<u64, u32>,
     /// Most users ever parked in buckets at once.
     high_water: usize,
     parked: usize,
@@ -98,14 +118,14 @@ struct UserTable {
 /// The latest rollback point of a [`UserTable`] and how to get back to it.
 ///
 /// On a started table the point is an undo journal: from the mark on,
-/// every `park`, `release` and `recycle` pushes one [`Undo`] entry, so a
-/// point costs O(1) to take and O(changes since) to restore, however large
-/// the population. On an unstarted table (before `start` parks everyone)
-/// the point is a copy of the table, which is then nearly empty, so
-/// restoring it resets the table without journaling each user. A journal
-/// that outgrows the table (one-window shard rounds take no point, so the
-/// changes of several rounds can pile up) is folded into a copy too, which
-/// bounds it by the smaller of the work since the point and the population.
+/// every `park` and `release` pushes one [`Undo`] entry, so a point costs
+/// O(1) to take and O(changes since) to restore, however large the
+/// population. On an unstarted table (before `start` parks everyone) the
+/// point is a copy of the table, which is then empty, so restoring it
+/// resets the table without journaling each user. A journal that outgrows
+/// the table (one-window shard rounds take no point, so the changes of
+/// several rounds can pile up) is folded into a copy too, which bounds it
+/// by the smaller of the work since the point and the population.
 #[derive(Debug, Clone, Default)]
 struct Journal {
     /// Stamp of the live point; 0 = none.
@@ -118,11 +138,9 @@ struct Journal {
     high_water: usize,
     /// Undo entries, oldest first.
     undo: Vec<Undo>,
-    /// Users of the buckets released since the point, in bucket order.
+    /// Users of the buckets released since the point, each bucket in list
+    /// order.
     arena: Vec<u32>,
-    /// Empty vectors outside the spare pool (whose length is state):
-    /// bucket vectors handed back by undoing, reused before allocating.
-    limbo: Vec<Vec<u32>>,
     /// The table at the point in the full codec, when not recording.
     copy: Vec<u8>,
 }
@@ -130,97 +148,92 @@ struct Journal {
 /// One journaled [`UserTable`] change, with what undoing it needs.
 #[derive(Debug, Clone, Copy)]
 enum Undo {
-    /// `park` pushed `user` onto bucket `key` over its old `deadline_ns`.
-    Park {
-        user: u32,
-        deadline_ns: u64,
-        key: u64,
-        opened: Opened,
-    },
-    /// `release` removed bucket `key`; its users are the arena from `at` on.
+    /// `park` linked `user` at the head of bucket `key` over its old `pos`.
+    Park { user: u32, key: u64, old_pos: u32 },
+    /// `release` unlinked bucket `key`; its users are the arena from `at` on.
     Release { key: u64, at: usize },
-    /// `recycle` pushed a drained vector onto the spare pool.
-    Recycle,
-}
-
-/// Whether `park` opened the bucket, and with which vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Opened {
-    /// The bucket was already open.
-    No,
-    /// Opened with a vector from the spare pool.
-    Spare,
-    /// Opened with a vector from limbo or a new one.
-    Fresh,
 }
 
 impl UserTable {
+    /// Empties the table for a run of `users` users. A recording rollback
+    /// point is folded into a copy first, so it still restores the table
+    /// it was taken on.
+    fn restart(&mut self, users: usize) {
+        if self.journal.get_mut().recording {
+            self.fold_into_copy();
+        }
+        // Zeroed columns come straight from the allocator, untouched:
+        // `park` writes both slots of every user before reading them.
+        self.pos = vec![0; users];
+        self.next = vec![0; users];
+        self.heads.clear();
+        self.parked = 0;
+        self.high_water = 0;
+    }
+
     /// Parks `user` until `deadline_ns`, returning `Some(fire_ns)` when the
     /// caller must arm a new bucket timer for that instant.
-    fn park(&mut self, user: u32, deadline_ns: u64, grain_ns: u64) -> Option<u64> {
-        // Only a recording point needs the old deadline. `start` fills a
-        // freshly zeroed table, where a read before each write would fault
-        // every page in twice.
-        let old = if self.journal.get_mut().recording {
-            self.deadline_ns[user as usize]
+    fn park(&mut self, user: u32, deadline_ns: u64) -> Option<u64> {
+        let grain_ns = self.grain_ns;
+        let key = deadline_ns.div_ceil(grain_ns);
+        let u = user as usize;
+        // Only a recording point needs the old offset. `start` fills
+        // freshly zeroed columns, where a read before each write would
+        // fault every page in twice.
+        let old_pos = if self.journal.get_mut().recording {
+            self.pos[u]
         } else {
             0
         };
-        self.deadline_ns[user as usize] = deadline_ns;
+        self.pos[u] = offset_in_bucket(deadline_ns, key, grain_ns);
         self.parked += 1;
         if self.parked > self.high_water {
             self.high_water = self.parked;
         }
-        let key = deadline_ns.div_ceil(grain_ns);
-        let limbo = &mut self.journal.get_mut().limbo;
-        let (fire_ns, opened) = match self.buckets.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                e.into_mut().push(user);
-                (None, Opened::No)
+        let (next, fire_ns) = match self.heads.entry(key) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                (std::mem::replace(e.get_mut(), user), None)
             }
             std::collections::hash_map::Entry::Vacant(v) => {
-                let (mut vec, opened) = match self.spare.pop() {
-                    Some(vec) => (vec, Opened::Spare),
-                    None => (limbo.pop().unwrap_or_default(), Opened::Fresh),
-                };
-                vec.push(user);
-                v.insert(vec);
-                (Some(key * grain_ns), opened)
+                v.insert(user);
+                (NIL, Some(key * grain_ns))
             }
         };
-        self.record(Undo::Park {
-            user,
-            deadline_ns: old,
-            key,
-            opened,
-        });
+        self.next[u] = next;
+        self.record(Undo::Park { user, key, old_pos });
         fire_ns
     }
 
-    /// Releases the bucket with `key`, returning its users sorted by
-    /// (packed deadline, id) — the order the un-coalesced loop would have
-    /// woken them. Hand the vector back with [`UserTable::recycle`].
-    fn release(&mut self, key: u64) -> Vec<u32> {
-        let Some(mut users) = self.buckets.remove(&key) else {
-            return Vec::new();
+    /// Releases the bucket with `key`, returning its users as
+    /// `(pos << 32) | id` keys in ascending order: by (deadline, id), the
+    /// order the un-coalesced loop would have woken them. The buffer is
+    /// the caller's, so the table holds no memory for waking between
+    /// releases.
+    fn release(&mut self, key: u64) -> Vec<u64> {
+        let mut woken = Vec::new();
+        let Some(head) = self.heads.remove(&key) else {
+            return woken;
         };
-        self.parked -= users.len();
+        self.wake_keys(head, &mut woken);
+        self.parked -= woken.len();
         let journal = self.journal.get_mut();
         let at = journal.arena.len();
         if journal.recording {
-            journal.arena.extend_from_slice(&users);
+            journal.arena.extend(woken.iter().map(|&k| k as u32));
         }
         self.record(Undo::Release { key, at });
-        let deadlines = &self.deadline_ns;
-        users.sort_unstable_by_key(|&u| (deadlines[u as usize], u));
-        users
+        woken.sort_unstable();
+        woken
     }
 
-    /// Returns a released bucket's vector to the spare pool.
-    fn recycle(&mut self, mut users: Vec<u32>) {
-        users.clear();
-        self.spare.push(users);
-        self.record(Undo::Recycle);
+    /// Appends the `(pos << 32) | id` key of every user on the list from
+    /// `head`, in list order.
+    fn wake_keys(&self, head: u32, out: &mut Vec<u64>) {
+        let mut user = head;
+        while user != NIL {
+            out.push(u64::from(self.pos[user as usize]) << 32 | u64::from(user));
+            user = self.next[user as usize];
+        }
     }
 
     /// Journals `entry` if a point is recording. A journal longer than the
@@ -231,7 +244,7 @@ impl UserTable {
         let journal = self.journal.get_mut();
         if journal.recording {
             journal.undo.push(entry);
-            if journal.undo.len() + journal.arena.len() > self.deadline_ns.len() {
+            if journal.undo.len() + journal.arena.len() > self.pos.len() {
                 self.fold_into_copy();
             }
         }
@@ -244,7 +257,7 @@ impl UserTable {
         journal.point = NEXT_POINT.fetch_add(1, Ordering::Relaxed);
         journal.undo.clear();
         journal.arena.clear();
-        journal.recording = !self.deadline_ns.is_empty();
+        journal.recording = !self.pos.is_empty();
         if journal.recording {
             journal.parked = self.parked;
             journal.high_water = self.high_water;
@@ -271,7 +284,8 @@ impl UserTable {
             self.undo(&mut journal);
             *self.journal.get_mut() = journal;
         } else {
-            let mut table = UserTable::snap_load(&mut SnapReader::bare(&journal.copy), users)?;
+            let mut table =
+                UserTable::snap_load(&mut SnapReader::bare(&journal.copy), users, self.grain_ns)?;
             table.journal = std::mem::take(&mut self.journal);
             *self = table;
         }
@@ -283,33 +297,23 @@ impl UserTable {
     fn undo(&mut self, journal: &mut Journal) {
         while let Some(entry) = journal.undo.pop() {
             match entry {
-                Undo::Park {
-                    user,
-                    deadline_ns,
-                    key,
-                    opened,
-                } => {
-                    self.deadline_ns[user as usize] = deadline_ns;
-                    if opened == Opened::No {
-                        self.buckets.get_mut(&key).expect("journaled bucket").pop();
-                    } else {
-                        let mut vec = self.buckets.remove(&key).expect("journaled bucket");
-                        vec.clear();
-                        match opened {
-                            Opened::Spare => self.spare.push(vec),
-                            _ => journal.limbo.push(vec),
-                        }
-                    }
+                Undo::Park { user, key, old_pos } => {
+                    let u = user as usize;
+                    match self.next[u] {
+                        NIL => self.heads.remove(&key),
+                        next => self.heads.insert(key, next),
+                    };
+                    self.pos[u] = old_pos;
                 }
                 Undo::Release { key, at } => {
-                    let mut users = journal.limbo.pop().unwrap_or_default();
-                    users.extend_from_slice(&journal.arena[at..]);
+                    let users = &journal.arena[at..];
+                    for pair in users.windows(2) {
+                        self.next[pair[0] as usize] = pair[1];
+                    }
+                    self.next[users[users.len() - 1] as usize] = NIL;
+                    self.heads.insert(key, users[0]);
                     journal.arena.truncate(at);
-                    self.buckets.insert(key, users);
                 }
-                Undo::Recycle => journal
-                    .limbo
-                    .push(self.spare.pop().expect("journaled spare vector")),
             }
         }
         self.parked = journal.parked;
@@ -332,38 +336,57 @@ impl UserTable {
         *self.journal.get_mut() = journal;
     }
 
-    /// Serializes the table with buckets in sorted-key order; the spare pool
-    /// is captured as a count (its vectors are always empty — only their
-    /// allocations are reused). The deadline table and every bucket go
-    /// through the bulk slice codecs: the same bytes as `Vec::save`, at
-    /// memory speed.
+    /// Serializes the table in the `SNAP_VERSION` 1 layout: one u64
+    /// deadline per user (0 for a user that is not parked), the buckets in
+    /// key order, each with its users in wake order, then the spare count
+    /// of the earlier vector-pool table (always 0), high water and parked.
+    /// The deadline column and every bucket go through the bulk slice
+    /// codecs.
     fn snap_save(&self, w: &mut SnapWriter) {
-        w.u64s(&self.deadline_ns);
-        let mut buckets: Vec<(u64, &Vec<u32>)> = self
-            .buckets
-            .iter()
-            .map(|(&key, users)| (key, users))
-            .collect();
-        buckets.sort_unstable_by_key(|&(key, _)| key);
-        w.usize(buckets.len());
-        for (key, users) in buckets {
-            w.u64(key);
-            w.u32s(users);
+        let grain_ns = self.grain_ns;
+        let mut buckets: Vec<(u64, u32)> = self.heads.iter().map(|(&k, &h)| (k, h)).collect();
+        buckets.sort_unstable();
+        let mut deadlines = vec![0; self.pos.len()];
+        let mut woken = Vec::new();
+        for &(key, head) in &buckets {
+            woken.clear();
+            self.wake_keys(head, &mut woken);
+            for &k in &woken {
+                deadlines[k as u32 as usize] = match key {
+                    0 => 0,
+                    _ => (key - 1) * grain_ns + (k >> 32),
+                };
+            }
         }
-        w.usize(self.spare.len());
+        w.u64s(&deadlines);
+        w.usize(buckets.len());
+        for (key, head) in buckets {
+            woken.clear();
+            self.wake_keys(head, &mut woken);
+            woken.sort_unstable();
+            w.u64(key);
+            w.u32s_iter(woken.len(), woken.iter().map(|&k| k as u32));
+        }
+        w.usize(0);
         w.usize(self.high_water);
         w.usize(self.parked);
     }
 
-    /// Rebuilds the table of a `users`-user loop from
-    /// [`UserTable::snap_save`], checking it first: the deadline table is
-    /// empty (unstarted) or has one slot per user, bucket keys ascend,
-    /// every parked id indexes the deadline table, `parked` is the users in
-    /// buckets, and `spare <= high_water <= users`, `parked <= high_water`
-    /// (each bucket vector once held a parked user). A violation is
-    /// `Corrupt`, found before the spare pool is allocated.
-    fn snap_load(r: &mut SnapReader<'_>, users: u64) -> Result<Self, SnapError> {
+    /// Rebuilds the table of a `users`-user loop with bucket width
+    /// `grain_ns` (0 = exact) from [`UserTable::snap_save`], checking
+    /// everything before linking any list: the grain fits a `u32` offset,
+    /// the deadline column is empty (unstarted) or has one slot per user,
+    /// bucket keys ascend, every bucket holds users, every parked id
+    /// indexes the column and is parked once, its deadline lies in its
+    /// bucket's window `((key − 1)·grain, key·grain]`, `parked` is the users
+    /// in buckets, and `spare <= high_water <= users`, `parked <=
+    /// high_water`. A violation is `Corrupt`. The deadlines of users that
+    /// are not parked are ignored.
+    fn snap_load(r: &mut SnapReader<'_>, users: u64, grain_ns: u64) -> Result<Self, SnapError> {
         let corrupt = |what: String| Err(SnapError::Corrupt(format!("closed-loop table: {what}")));
+        if grain_ns > u64::from(u32::MAX) {
+            return corrupt(format!("grain {grain_ns} ns does not fit a u32 offset"));
+        }
         let deadline_ns = r.u64s()?;
         if !deadline_ns.is_empty() && deadline_ns.len() as u64 != users {
             return corrupt(format!(
@@ -371,25 +394,38 @@ impl UserTable {
                 deadline_ns.len()
             ));
         }
+        let n = deadline_ns.len();
+        let mut pos = vec![0u32; n];
         let nbuckets = r.usize()?;
-        let mut buckets = DetHashMap::default();
+        let mut buckets = Vec::new();
         let mut in_buckets = 0usize;
-        let mut last_key = None;
         for _ in 0..nbuckets {
             let key = r.u64()?;
-            if last_key.is_some_and(|last| key <= last) {
+            if buckets.last().is_some_and(|&(last, _)| key <= last) {
                 return corrupt(format!("bucket key {key} out of order"));
             }
-            last_key = Some(key);
-            let ids = r.u32s()?;
-            if let Some(&id) = ids.iter().find(|&&id| id as usize >= deadline_ns.len()) {
-                return corrupt(format!(
-                    "user {id} parked in bucket {key}, {} deadline slots",
-                    deadline_ns.len()
-                ));
+            let ids = r.u32s_iter()?;
+            if ids.len() == 0 {
+                return corrupt(format!("bucket {key} is empty"));
+            }
+            for id in ids.clone() {
+                let Some(&deadline) = deadline_ns.get(id as usize) else {
+                    return corrupt(format!(
+                        "user {id} parked in bucket {key}, {n} deadline slots"
+                    ));
+                };
+                if pos[id as usize] != 0 {
+                    return corrupt(format!("user {id} parked twice"));
+                }
+                if grain_ns == 0 || deadline.div_ceil(grain_ns) != key {
+                    return corrupt(format!(
+                        "user {id}'s deadline {deadline} ns lies outside bucket {key} of grain {grain_ns} ns"
+                    ));
+                }
+                pos[id as usize] = offset_in_bucket(deadline, key, grain_ns);
             }
             in_buckets += ids.len();
-            buckets.insert(key, ids);
+            buckets.push((key, ids));
         }
         let spare = r.usize()?;
         let high_water = r.usize()?;
@@ -402,10 +438,20 @@ impl UserTable {
                 "{spare} spare, {parked} parked, high water {high_water}, {users} users"
             ));
         }
+        let mut next = vec![0u32; n];
+        let mut heads = DetHashMap::default();
+        for (key, ids) in buckets {
+            let head = ids.fold(NIL, |head, id| {
+                next[id as usize] = head;
+                id
+            });
+            heads.insert(key, head);
+        }
         Ok(UserTable {
-            deadline_ns,
-            buckets,
-            spare: vec![Vec::new(); spare],
+            grain_ns,
+            pos,
+            next,
+            heads,
             high_water,
             parked,
             journal: RefCell::default(),
@@ -416,18 +462,9 @@ impl UserTable {
     /// rollback journal included.
     fn footprint_bytes(&self) -> usize {
         let journal = self.journal.borrow();
-        let ids: usize = self
-            .buckets
-            .values()
-            .chain(self.spare.iter())
-            .chain(journal.limbo.iter())
-            .map(|v| v.capacity())
-            .sum::<usize>()
-            + journal.arena.capacity();
-        self.deadline_ns.capacity() * std::mem::size_of::<u64>()
-            + self.buckets.capacity()
-                * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<u32>>())
-            + ids * std::mem::size_of::<u32>()
+        (self.pos.capacity() + self.next.capacity() + journal.arena.capacity())
+            * std::mem::size_of::<u32>()
+            + self.heads.capacity() * std::mem::size_of::<(u64, u32)>()
             + journal.undo.capacity() * std::mem::size_of::<Undo>()
             + journal.copy.capacity()
     }
@@ -448,8 +485,7 @@ pub struct ClosedLoop {
     completed: u64,
     errors: u64,
     measuring: bool,
-    /// Think-wakeup coalescing grain; `None` = one exact timer per user.
-    coalesce: Option<SimDuration>,
+    /// Parked users of a coalesced loop; its grain is 0 in exact mode.
     table: UserTable,
 }
 
@@ -472,7 +508,6 @@ impl ClosedLoop {
             completed: 0,
             errors: 0,
             measuring: false,
-            coalesce: None,
             table: UserTable::default(),
         }
     }
@@ -508,27 +543,39 @@ impl ClosedLoop {
 
     /// Coalesces think-time wakeups into buckets of width `grain`.
     ///
-    /// In coalesced mode the loop keeps a compact structure-of-arrays user
-    /// table (u32 ids, packed think-deadlines) and arms **one** calendar
-    /// timer per non-empty wake bucket instead of one per sleeping user, so
-    /// a million-user population does not mean a million live timers. Each
-    /// wakeup is deferred to the end of its grain bucket (users inside a
-    /// bucket fire in deadline order), trading up to `grain` of think-time
-    /// fidelity for O(active buckets) timer memory. The exact per-user mode
-    /// (`grain = None`, the default) is unchanged and bit-identical to
-    /// previous releases.
+    /// In coalesced mode the loop keeps a compact user table — two `u32`
+    /// columns, 8 bytes per user: each parked user's offset inside its
+    /// bucket and a link to the next user of the same bucket — and arms
+    /// **one** calendar timer per non-empty wake bucket instead of one per
+    /// sleeping user, so a million-user population does not mean a million
+    /// live timers. Each wakeup is deferred to the end of its grain bucket
+    /// (users inside a bucket fire in deadline order), trading up to
+    /// `grain` of think-time fidelity for O(active buckets) timer memory.
+    /// The exact per-user mode (the default) is unchanged and bit-identical
+    /// to previous releases.
     ///
     /// # Panics
     ///
-    /// Panics if `grain` is zero or the population exceeds `u32::MAX`.
+    /// Panics if `grain` is zero or 2^32 ns (about 4.29 s) or more, because
+    /// a user's offset inside its bucket is a `u32`, or if the population
+    /// exceeds `u32::MAX`.
     pub fn coalesce(mut self, grain: SimDuration) -> Self {
         assert!(!grain.is_zero(), "coalescing grain must be positive");
+        assert!(
+            grain.as_nanos() <= u64::from(u32::MAX),
+            "coalescing grain must be below 2^32 ns: offsets in a bucket are u32"
+        );
         assert!(
             self.users <= u64::from(u32::MAX),
             "coalesced mode packs user ids into u32"
         );
-        self.coalesce = Some(grain);
+        self.table.grain_ns = grain.as_nanos();
         self
+    }
+
+    /// Whether think wakeups go through the wake-bucket table.
+    fn coalesced(&self) -> bool {
+        self.table.grain_ns != 0
     }
 
     /// Number of users.
@@ -558,14 +605,15 @@ impl ClosedLoop {
         self.table.parked
     }
 
-    /// Most users ever parked at once (coalesced mode only).
+    /// Most users parked at once since the run started (coalesced mode only).
     pub fn parked_high_water(&self) -> usize {
         self.table.high_water
     }
 
-    /// Approximate heap bytes of the generator's per-user state: the packed
-    /// deadline table plus wake-bucket storage. Zero in exact mode, where
-    /// the per-user state lives in the engine calendar instead.
+    /// Approximate heap bytes of the generator's per-user state: the two
+    /// per-user columns (8 bytes a user), the bucket-head map, the release
+    /// buffer and the rollback journal. Zero in exact mode, where the
+    /// per-user state lives in the engine calendar instead.
     pub fn footprint_bytes(&self) -> usize {
         self.table.footprint_bytes()
     }
@@ -590,7 +638,7 @@ impl ClosedLoop {
     pub fn snap_save(&self, w: &mut SnapWriter) {
         w.section("closed-loop");
         w.u64(self.users);
-        w.bool(self.coalesce.is_some());
+        w.bool(self.coalesced());
         w.u64(self.issued);
         w.u64(self.completed);
         w.u64(self.errors);
@@ -610,12 +658,12 @@ impl ClosedLoop {
         r.section("closed-loop")?;
         let users = r.u64()?;
         let coalesced = r.bool()?;
-        if users != self.users || coalesced != self.coalesce.is_some() {
+        if users != self.users || coalesced != self.coalesced() {
             return Err(SnapError::Corrupt(format!(
                 "snapshot is of a {users}-user {} loop, this loop has {} users ({})",
                 if coalesced { "coalesced" } else { "exact" },
                 self.users,
-                if self.coalesce.is_some() {
+                if self.coalesced() {
                     "coalesced"
                 } else {
                     "exact"
@@ -626,7 +674,7 @@ impl ClosedLoop {
         if r.is_bare() {
             self.table.rollback(r.u64()?, users)?;
         } else {
-            self.table = UserTable::snap_load(r, users)?;
+            self.table = UserTable::snap_load(r, users, self.table.grain_ns)?;
         }
         self.issued = issued;
         self.completed = completed;
@@ -638,21 +686,15 @@ impl ClosedLoop {
     /// Parks `user` until `delay` from now — through the wake-bucket table
     /// in coalesced mode, or a dedicated timer otherwise.
     fn sleep_user(&mut self, user: u64, delay: SimDuration, ctx: &mut dyn EngineCtx) {
-        match self.coalesce {
-            Some(grain) => {
-                let now = ctx.now().as_nanos();
-                let deadline = now + delay.as_nanos();
-                if let Some(fire_ns) =
-                    self.table
-                        .park(user as u32, deadline, grain.as_nanos())
-                {
-                    ctx.set_timer(
-                        SimDuration::from_nanos(fire_ns - now),
-                        TOKEN_BUCKET_BIT | (fire_ns / grain.as_nanos()),
-                    );
-                }
-            }
-            None => ctx.set_timer(delay, user),
+        if !self.coalesced() {
+            return ctx.set_timer(delay, user);
+        }
+        let now = ctx.now().as_nanos();
+        if let Some(fire_ns) = self.table.park(user as u32, now + delay.as_nanos()) {
+            ctx.set_timer(
+                SimDuration::from_nanos(fire_ns - now),
+                TOKEN_BUCKET_BIT | (fire_ns / self.table.grain_ns),
+            );
         }
     }
 }
@@ -663,8 +705,8 @@ impl Driver for ClosedLoop {
         if let Some(measure) = self.measure {
             ctx.set_timer(self.warmup + measure, TOKEN_STOP);
         }
-        if self.coalesce.is_some() {
-            self.table.deadline_ns = vec![0; self.users as usize];
+        if self.coalesced() {
+            self.table.restart(self.users as usize);
         }
         // Stagger initial arrivals over half the think time (or 50 ms) so the
         // population does not arrive as one synchronized burst.
@@ -682,12 +724,10 @@ impl Driver for ClosedLoop {
                 self.measuring = true;
             }
             TOKEN_STOP => ctx.request_stop(),
-            bucket if bucket & TOKEN_BUCKET_BIT != 0 && self.coalesce.is_some() => {
-                let users = self.table.release(bucket & !TOKEN_BUCKET_BIT);
-                for &user in &users {
-                    self.submit_for(u64::from(user), ctx);
+            bucket if bucket & TOKEN_BUCKET_BIT != 0 && self.coalesced() => {
+                for key in self.table.release(bucket & !TOKEN_BUCKET_BIT) {
+                    self.submit_for(u64::from(key as u32), ctx);
                 }
-                self.table.recycle(users);
             }
             user => self.submit_for(user, ctx),
         }
@@ -1045,10 +1085,10 @@ mod tests {
             .measure(SimDuration::from_millis(400));
         eng.run(&mut load, SimTime::from_secs(30));
         let per_user = load.footprint_bytes() as f64 / 10_000.0;
-        // 8 bytes of packed deadline plus bucket-id slots; far from the
-        // ~100+ bytes a per-user calendar entry costs.
+        // 8 bytes of per-user columns plus the bucket-head map; far from
+        // the ~100+ bytes a per-user calendar entry costs.
         assert!(
-            per_user < 64.0,
+            per_user < 9.0,
             "driver footprint {per_user:.1} B/user too fat"
         );
     }
@@ -1301,6 +1341,233 @@ mod tests {
         ctx.fire_next(&mut load);
         roll_back(&mut load, &bare).expect("and again");
         assert_eq!(durable_bytes(&load), at);
+    }
+
+    #[test]
+    fn a_reused_coalesced_loop_parks_each_user_once() {
+        let users = 100;
+        let mut load = ClosedLoop::new(users)
+            .think_time(SimDuration::from_millis(20))
+            .coalesce(SimDuration::from_millis(1))
+            .warmup(SimDuration::from_millis(50))
+            .measure(SimDuration::from_millis(150));
+        let (mut issued, mut completed) = (0, 0);
+        for seed in [21, 22] {
+            let mut eng = engine(300.0, 2, 8, seed);
+            eng.run(&mut load, SimTime::from_secs(30));
+            let in_flight = (load.issued() - issued) - (load.completed() - completed);
+            (issued, completed) = (load.issued(), load.completed());
+            let parked = load.parked_users() as u64;
+            assert!(parked <= users, "{parked} of {users} users parked");
+            // Every user is parked or has exactly one request in flight.
+            assert_eq!(parked + in_flight, users, "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "below 2^32 ns")]
+    fn a_grain_past_a_u32_offset_is_rejected() {
+        ClosedLoop::new(1).coalesce(SimDuration::from_nanos(1 << 32));
+    }
+
+    #[test]
+    fn restore_rejects_a_grain_past_a_u32_offset() {
+        let mut w = SnapWriter::bare(Vec::new());
+        UserTable::default().snap_save(&mut w);
+        let bytes = w.into_bare();
+        let got = UserTable::snap_load(&mut SnapReader::bare(&bytes), 1, 1 << 32);
+        assert!(
+            matches!(&got, Err(SnapError::Corrupt(msg)) if msg.contains("grain")),
+            "{got:?}"
+        );
+    }
+
+    /// The user table before the linked columns: a u64 deadline per user
+    /// and one id vector per bucket.
+    #[derive(Debug, Clone, Default)]
+    struct VecTable {
+        deadline_ns: Vec<u64>,
+        buckets: std::collections::BTreeMap<u64, Vec<u32>>,
+        high_water: usize,
+        parked: usize,
+    }
+
+    impl VecTable {
+        fn park(&mut self, user: u32, deadline_ns: u64, grain_ns: u64) -> Option<u64> {
+            self.deadline_ns[user as usize] = deadline_ns;
+            self.parked += 1;
+            self.high_water = self.high_water.max(self.parked);
+            let key = deadline_ns.div_ceil(grain_ns);
+            let bucket = self.buckets.entry(key).or_default();
+            bucket.push(user);
+            (bucket.len() == 1).then_some(key * grain_ns)
+        }
+
+        fn release(&mut self, key: u64) -> Vec<u32> {
+            let mut users = self.buckets.remove(&key).unwrap_or_default();
+            self.parked -= users.len();
+            users.sort_unstable_by_key(|&u| (self.deadline_ns[u as usize], u));
+            users
+        }
+
+        /// The `SNAP_VERSION` 1 table layout: the deadlines of users that
+        /// are not parked read 0, and each bucket lists its users in wake
+        /// order.
+        fn snap_bytes(&self) -> Vec<u8> {
+            let mut deadlines = vec![0; self.deadline_ns.len()];
+            for &u in self.buckets.values().flatten() {
+                deadlines[u as usize] = self.deadline_ns[u as usize];
+            }
+            let mut w = SnapWriter::bare(Vec::new());
+            w.u64s(&deadlines);
+            w.usize(self.buckets.len());
+            for (&key, users) in &self.buckets {
+                let mut users = users.clone();
+                users.sort_unstable_by_key(|&u| (self.deadline_ns[u as usize], u));
+                w.u64(key);
+                w.u32s(&users);
+            }
+            w.usize(0);
+            w.usize(self.high_water);
+            w.usize(self.parked);
+            w.into_bare()
+        }
+    }
+
+    /// Releases bucket `key` of `table` and collects its users in wake
+    /// order.
+    fn released(table: &mut UserTable, key: u64) -> Vec<u32> {
+        table.release(key).iter().map(|&k| k as u32).collect()
+    }
+
+    fn table_bytes(table: &UserTable) -> Vec<u8> {
+        let mut w = SnapWriter::bare(Vec::new());
+        table.snap_save(&mut w);
+        w.into_bare()
+    }
+
+    /// Seals `body` into an envelope behind `head` (magic and version).
+    fn sealed(head: &[u8], body: &[u8]) -> Vec<u8> {
+        let mut bytes = [head, body, b"ENDS"].concat();
+        let checksum = simcore::snap::fnv64(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn linked_table_matches_the_vec_table(
+            users in 1u32..40,
+            grain_ns in 1u64..4_000,
+            ops in proptest::collection::vec(
+                (0u8..10, proptest::prelude::any::<u32>(), 0u64..16_000),
+                0..300,
+            ),
+        ) {
+            let mut table = UserTable { grain_ns, ..UserTable::default() };
+            table.restart(users as usize);
+            let mut model = VecTable { deadline_ns: vec![0; users as usize], ..VecTable::default() };
+            let mut awake: Vec<u32> = (0..users).collect();
+            let mut now = 0;
+            let mut point = None;
+            for (op, pick, delay) in ops {
+                match op {
+                    0..=3 if !awake.is_empty() => {
+                        let user = awake.swap_remove(pick as usize % awake.len());
+                        let fire = table.park(user, now + delay);
+                        proptest::prop_assert_eq!(fire, model.park(user, now + delay, grain_ns));
+                    }
+                    0..=5 => {
+                        // Fire the earliest bucket, or any key near now.
+                        let key = match model.buckets.keys().next() {
+                            Some(&first) if op != 5 => first,
+                            _ => now / grain_ns + u64::from(pick % 8),
+                        };
+                        now = now.max(key * grain_ns);
+                        let ids = released(&mut table, key);
+                        let want = model.release(key);
+                        proptest::prop_assert_eq!(&ids, &want);
+                        awake.extend(want);
+                    }
+                    6 => {
+                        table.mark(&mut SnapWriter::bare(Vec::new()));
+                        let stamp = table.journal.borrow().point;
+                        point = Some((stamp, model.clone(), awake.clone(), now));
+                    }
+                    7 => {
+                        let Some((stamp, at, awake_at, now_at)) = &point else { continue };
+                        table.rollback(*stamp, u64::from(users)).expect("the latest point");
+                        (model, awake, now) = (at.clone(), awake_at.clone(), *now_at);
+                    }
+                    _ => {
+                        let bytes = table_bytes(&table);
+                        proptest::prop_assert_eq!(&bytes, &model.snap_bytes());
+                        let loaded = UserTable::snap_load(
+                            &mut SnapReader::bare(&bytes),
+                            u64::from(users),
+                            grain_ns,
+                        )
+                        .expect("a saved table loads");
+                        proptest::prop_assert_eq!(table_bytes(&loaded), bytes);
+                    }
+                }
+                proptest::prop_assert_eq!(table.parked, model.parked);
+                proptest::prop_assert_eq!(table.high_water, model.high_water);
+            }
+            proptest::prop_assert_eq!(table_bytes(&table), model.snap_bytes());
+        }
+
+        #[test]
+        fn damaged_closed_loop_snapshots_restore_or_fail_cleanly(
+            users in 1u64..24,
+            steps in 0usize..80,
+            damage in 0u8..3,
+            at_frac in 0.0f64..1.0,
+            flip in 1u8..=255,
+            word in proptest::prelude::any::<u64>(),
+        ) {
+            let build = || {
+                ClosedLoop::new(users)
+                    .think_time(SimDuration::from_millis(5))
+                    .coalesce(SimDuration::from_millis(1))
+            };
+            let mut load = build();
+            let mut ctx = HandCtx::new(users);
+            load.start(&mut ctx);
+            for i in 0..steps {
+                ctx.fire_next(&mut load);
+                ctx.respond(&mut load, i, 1_000_000 + 7_919 * i as u64);
+            }
+            let bytes = durable_bytes(&load);
+            let (head, mut body) = (&bytes[..8], bytes[8..bytes.len() - 12].to_vec());
+            let at = ((body.len() - 1) as f64 * at_frac) as usize;
+            match damage {
+                0 => body.truncate(at),
+                1 => body[at] ^= flip,
+                _ => {
+                    let end = (at + 8).min(body.len());
+                    body[at..end].copy_from_slice(&word.to_le_bytes()[..end - at]);
+                }
+            }
+            let mut fresh = build();
+            let damaged = sealed(head, &body);
+            let mut reader = SnapReader::new(&damaged).expect("resealed");
+            let restored = fresh.snap_restore(&mut reader);
+            if restored.is_ok() {
+                // What decodes must be a table every bucket of which wakes.
+                let saved = durable_bytes(&fresh);
+                proptest::prop_assert!(SnapReader::new(&saved).is_ok());
+                let keys: Vec<u64> = fresh.table.heads.keys().copied().collect();
+                let mut woken = 0;
+                for key in keys {
+                    woken += released(&mut fresh.table, key).len();
+                }
+                proptest::prop_assert!(woken as u64 <= users);
+                proptest::prop_assert_eq!(fresh.parked_users(), 0);
+            }
+        }
     }
 
     #[test]

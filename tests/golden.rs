@@ -50,7 +50,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("e21", 0x21a6_7f22_ffd7_14b2),
     ("e22", 0xe9d7_52fe_b2b9_97d3),
     ("e23", 0x20c7_735a_8ca3_4ed1),
-    ("e24", 0x68a6_107c_bd40_bd2c),
+    ("e24", 0xb765_efe9_12ad_6e63),
     ("e25", 0x1e0a_24fa_5a80_e943),
     ("e26", 0x7f3e_9f38_8cf8_0945),
     ("e27", 0x6d4b_c8f4_dd5d_30a9),

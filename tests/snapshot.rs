@@ -357,7 +357,7 @@ fn codec_bytes_match_the_pinned_layout() {
     );
     assert_eq!(
         (load_bytes.len(), fnv64(&load_bytes)),
-        (16_342, 0xca75_816f_580f_3250),
+        (16_342, 0xabf5_fb64_7072_cdbb),
         "closed-loop snapshot bytes moved"
     );
 }
@@ -464,11 +464,12 @@ fn inconsistent_closed_loop_tables_are_corrupt() {
         let mut load = ClosedLoop::new(4).coalesce(SimDuration::from_millis(1));
         load.snap_restore(&mut SnapReader::new(&bytes).expect("well-formed envelope"))
     };
-    let deadlines = [10, 20, 30, 40];
+    // Grain 1 ms: bucket `key` holds deadlines in ((key − 1) ms, key ms].
+    let deadlines = [10, 2_500_000, 30, 40];
     let ok = closed_loop_with_table(&deadlines, &[(1, &[0, 2]), (3, &[1])], [1, 4, 3]);
     assert_eq!(restore(ok), Ok(()), "the hand-written layout must decode");
     assert_eq!(restore(closed_loop_with_table(&[], &[], [0, 0, 0])), Ok(()));
-    let cases: [(&str, Vec<u8>); 7] = [
+    let cases: [(&str, Vec<u8>); 11] = [
         (
             "deadline table neither empty nor one slot per user",
             closed_loop_with_table(&[10, 20, 30], &[], [0, 0, 0]),
@@ -496,6 +497,22 @@ fn inconsistent_closed_loop_tables_are_corrupt() {
         (
             "more spare vectors than ever held a user",
             closed_loop_with_table(&deadlines, &[(1, &[0])], [3, 2, 1]),
+        ),
+        (
+            "a user parked twice in one bucket",
+            closed_loop_with_table(&deadlines, &[(1, &[0, 0])], [0, 2, 2]),
+        ),
+        (
+            "a user parked in two buckets",
+            closed_loop_with_table(&deadlines, &[(1, &[0]), (3, &[0])], [0, 2, 2]),
+        ),
+        (
+            "a deadline outside its bucket's window",
+            closed_loop_with_table(&deadlines, &[(1, &[0, 1])], [0, 2, 2]),
+        ),
+        (
+            "an empty bucket",
+            closed_loop_with_table(&deadlines, &[(1, &[])], [0, 0, 0]),
         ),
     ];
     for (what, bytes) in cases {
