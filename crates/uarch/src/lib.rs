@@ -43,12 +43,10 @@
 pub mod boost;
 pub mod comparison;
 pub mod counters;
-pub mod memo;
 pub mod params;
 pub mod profile;
 
 pub use boost::BoostModel;
 pub use counters::{DerivedMetrics, PerfCounters};
-pub use memo::SpeedMemo;
 pub use params::{ExecContext, RpcCost, SpeedFactor, UarchParams};
 pub use profile::ServiceProfile;
