@@ -11,9 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use loadgen::ClosedLoop;
-use microsvc::{
-    ClientId, Driver, EngineCtx, Outcome, RequestClassId, RequestId, ResponseInfo,
-};
+use microsvc::{ClientId, Driver, EngineCtx, Outcome, RequestClassId, RequestId, ResponseInfo};
 use simcore::stats::LogHistogram;
 use simcore::{Calendar, Rng, RngFactory, SimDuration, SimTime};
 use std::hint::black_box;
@@ -98,7 +96,11 @@ fn bench_closed_loop(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(5));
 
     for &(users, coalesce_ms) in &[(10_000u64, 0u64), (100_000, 5), (1_000_000, 5)] {
-        let mode = if coalesce_ms > 0 { "coalesced" } else { "exact" };
+        let mode = if coalesce_ms > 0 {
+            "coalesced"
+        } else {
+            "exact"
+        };
         let name = format!("think_cycle_{users}u_{mode}");
         group.bench_function(&name, |b| {
             b.iter(|| {

@@ -46,7 +46,10 @@ fn catalog() -> String {
             e.id, e.title, e.quick_secs, e.full_secs
         );
     }
-    let _ = writeln!(out, "{PERF:<5} simulator self-benchmark (writes results/BENCH_simperf.json)");
+    let _ = writeln!(
+        out,
+        "{PERF:<5} simulator self-benchmark (writes results/BENCH_simperf.json)"
+    );
     out
 }
 
@@ -60,14 +63,22 @@ fn catalog_json() -> String {
             "  {{\"id\": \"{}\", \"title\": \"{}\", \"quick_est_secs\": {:.1}, \"full_est_secs\": {:.1}, \"shardable\": {}}}",
             e.id, e.title, e.quick_secs, e.full_secs, e.shardable
         );
-        out.push_str(if i + 1 < EXPERIMENTS.len() { ",\n" } else { "\n" });
+        out.push_str(if i + 1 < EXPERIMENTS.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     out.push_str("]\n");
     out
 }
 
 fn usage() -> String {
-    let named_only: Vec<&str> = EXPERIMENTS.iter().filter(|e| !e.in_all()).map(|e| e.id).collect();
+    let named_only: Vec<&str> = EXPERIMENTS
+        .iter()
+        .filter(|e| !e.in_all())
+        .map(|e| e.id)
+        .collect();
     [
         "usage: repro [--quick] [--seed N] [--jobs N] [--shards N] [--csv DIR] [--html FILE] <experiment>... | all",
         "       repro [--gate BASELINE.json] perf",
@@ -103,7 +114,11 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
                 scaleup::par::set_jobs(jobs.max(1));
             }
             "--shards" => {
-                cli.shards = value()?.parse().ok().filter(|&n| n >= 1).ok_or_else(usage)?;
+                cli.shards = value()?
+                    .parse()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .ok_or_else(usage)?;
             }
             "--csv" => cli.csv_dir = Some(value()?.into()),
             "--html" => cli.html_path = Some(value()?.into()),

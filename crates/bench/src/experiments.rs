@@ -12,12 +12,12 @@ use loadgen::ClosedLoop;
 use microsvc::{
     mix_seed, AdmissionPolicy, AppSpec, BreakerPolicy, CallNode, Demand, Deployment, Engine,
     EngineParams, FaultPlan, InstanceConfig, InstanceId, LbPolicy, OverloadParams, PriorityPolicy,
-    ResilienceParams, RetryBudgetPolicy, RetryPolicy, RunReport, ServiceId, ServiceSpec,
-    ShardSpec, ShardedRun, Tracer,
+    ResilienceParams, RetryBudgetPolicy, RetryPolicy, RunReport, ServiceId, ServiceSpec, ShardSpec,
+    ShardedRun, Tracer,
 };
+use scaleup::html::LineChart;
 use scaleup::placement::{self, Objective, Policy};
 use scaleup::scaling::{self, ScalePoint};
-use scaleup::html::LineChart;
 use scaleup::{tuner, Lab, UslFit};
 use simcore::{SimDuration, SimTime, SnapReader, SnapWriter};
 use std::fmt::Write as _;
@@ -134,7 +134,10 @@ pub fn e3(config: &Config) -> LoadCurve {
     let replicas = config.baseline_replicas();
     let points: Vec<(u64, RunReport)> = scaleup::par::map(config.user_sweep.clone(), |users| {
         let lab = config.lab.clone().with_users(users);
-        (users, lab.run_policy(&config.store, Policy::Unpinned, &replicas))
+        (
+            users,
+            lab.run_policy(&config.store, Policy::Unpinned, &replicas),
+        )
     });
     let mut table = String::from(
         "E3: load curve (tuned unpinned baseline)\n users       req/s     mean      p95      p99   util%\n",
@@ -424,30 +427,25 @@ pub fn e9(config: &Config) -> LatencyComparison {
         .throughput_rps;
 
     let fractions = [0.70, 0.85, 0.95];
-    let points: Vec<(f64, RunReport, RunReport)> =
-        scaleup::par::map(fractions.to_vec(), |f| {
-            let rate = sat * f;
-            let base_placed =
-                Policy::Unpinned.deploy(config.store.app(), &config.lab.topo, &replicas);
-            let baseline = config.lab.run_app_open(
-                config.store.app(),
-                base_placed.deployment,
-                base_placed.lb,
-                rate,
-            );
-            let topo_placed = Policy::TopologyAware { ccxs: None }.deploy(
-                config.store.app(),
-                &config.lab.topo,
-                &[],
-            );
-            let optimized = config.lab.run_app_open(
-                config.store.app(),
-                topo_placed.deployment,
-                topo_placed.lb,
-                rate,
-            );
-            (f, baseline, optimized)
-        });
+    let points: Vec<(f64, RunReport, RunReport)> = scaleup::par::map(fractions.to_vec(), |f| {
+        let rate = sat * f;
+        let base_placed = Policy::Unpinned.deploy(config.store.app(), &config.lab.topo, &replicas);
+        let baseline = config.lab.run_app_open(
+            config.store.app(),
+            base_placed.deployment,
+            base_placed.lb,
+            rate,
+        );
+        let topo_placed =
+            Policy::TopologyAware { ccxs: None }.deploy(config.store.app(), &config.lab.topo, &[]);
+        let optimized = config.lab.run_app_open(
+            config.store.app(),
+            topo_placed.deployment,
+            topo_placed.lb,
+            rate,
+        );
+        (f, baseline, optimized)
+    });
     let mut table = format!(
         "E9: latency at matched open load (baseline saturation {sat:.0} req/s)\n  load   config               mean      p50      p95      p99\n"
     );
@@ -769,16 +767,27 @@ pub fn e14(config: &Config) -> String {
                 ("flat", uarch::BoostModel::Flat),
                 ("zen2", uarch::BoostModel::zen2_like()),
             ] {
-                cells.push((load_name, users, policy_name, policy, reps.clone(), boost_name, boost));
+                cells.push((
+                    load_name,
+                    users,
+                    policy_name,
+                    policy,
+                    reps.clone(),
+                    boost_name,
+                    boost,
+                ));
             }
         }
     }
-    let rows = scaleup::par::map(cells, |(load_name, users, policy_name, policy, reps, boost_name, boost)| {
-        let mut lab = config.lab.clone().with_users(users);
-        lab.engine_params.uarch.boost = boost;
-        let r = lab.run_policy(&config.store, policy, &reps);
-        (load_name, policy_name, boost_name, r)
-    });
+    let rows = scaleup::par::map(
+        cells,
+        |(load_name, users, policy_name, policy, reps, boost_name, boost)| {
+            let mut lab = config.lab.clone().with_users(users);
+            lab.engine_params.uarch.boost = boost;
+            let r = lab.run_policy(&config.store, policy, &reps);
+            (load_name, policy_name, boost_name, r)
+        },
+    );
     for (load_name, policy_name, boost_name, r) in rows {
         let _ = writeln!(
             out,
@@ -1089,7 +1098,11 @@ fn fault_study_table(title: &str, note: &str, rows: &[(String, RunReport)]) -> S
         let _ = writeln!(
             out,
             "{:<26} {:>10.0} {:>8} {:>8} {:>9} {:>7}",
-            name, r.throughput_rps, r.mean_latency, r.latency_p99, r.requests_timed_out,
+            name,
+            r.throughput_rps,
+            r.mean_latency,
+            r.latency_p99,
+            r.requests_timed_out,
             r.requests_shed,
         );
     }
@@ -1521,7 +1534,11 @@ const E21_BURST_END_REL: f64 = 3.0;
 /// the backlog drains at the spare-capacity rate instead.
 pub fn e21(config: &Config) -> MetastabilityStudy {
     let app = overload_app();
-    let lab = overload_lab(config, SimDuration::from_secs(1), SimDuration::from_secs(40));
+    let lab = overload_lab(
+        config,
+        SimDuration::from_secs(1),
+        SimDuration::from_secs(40),
+    );
     let capacity_rps = overload_capacity(&lab, &app);
     let rate_rps = 0.65 * capacity_rps;
 
@@ -1587,9 +1604,9 @@ pub fn e21(config: &Config) -> MetastabilityStudy {
         0.90 * pre_budget,
         3,
     );
-    let budget_recovered_pct =
-        100.0 * series_mean(&with_budget.throughput_series, window_end - 5.0, window_end)
-            / pre_budget;
+    let budget_recovered_pct = 100.0
+        * series_mean(&with_budget.throughput_series, window_end - 5.0, window_end)
+        / pre_budget;
 
     let mut table = format!(
         "E21: retry-storm metastability (open loop at {rate_rps:.0} req/s = 65% of capacity,\n     all replicas 10× slower over [{E21_BURST_START_REL}s, {E21_BURST_END_REL}s), timeouts + 3 retries)\nconfig               goodput   timed out    retries   budget-denied   max queue\n"
@@ -1809,18 +1826,12 @@ pub fn e23(config: &Config) -> RecoveryStudy {
     ];
     // Queue-depth timestamps are absolute (seconds since run start).
     let burst_end = lab.warmup.as_secs_f64() + E23_BURST_END_REL;
-    let rows: Vec<(String, RunReport, Option<f64>)> = scaleup::par::map(arms, |(name, overload)| {
-        let r = run_overload(
-            &lab,
-            &app,
-            rate_rps,
-            Some(overload),
-            None,
-            burst.clone(),
-        );
-        let drain = time_to_drain(&r.queue_depth_series, burst_end, 8.0);
-        (name.to_owned(), r, drain)
-    });
+    let rows: Vec<(String, RunReport, Option<f64>)> =
+        scaleup::par::map(arms, |(name, overload)| {
+            let r = run_overload(&lab, &app, rate_rps, Some(overload), None, burst.clone());
+            let drain = time_to_drain(&r.queue_depth_series, burst_end, 8.0);
+            (name.to_owned(), r, drain)
+        });
     let mut table = format!(
         "E23: recovery hysteresis (open loop at {rate_rps:.0} req/s = 75% of capacity,\n     all replicas 10× slower over [{E23_BURST_START_REL}s, {E23_BURST_END_REL}s))\nconfig              goodput      p99      shed   max queue   drain after burst\n"
     );
@@ -2040,7 +2051,9 @@ pub fn e25(config: &Config) -> TraceFidelity {
     let arms: Vec<(&'static str, Patch)> = vec![
         ("off", |_| {}),
         ("head", |p| p.trace_sample_every = Some(1)),
-        ("reservoir", |p| p.trace_reservoir = Some(Tracer::MAX_TRACES)),
+        ("reservoir", |p| {
+            p.trace_reservoir = Some(Tracer::MAX_TRACES)
+        }),
     ];
     let rows: Vec<TraceArm> = scaleup::par::map(arms, |(mode, patch)| {
         let run = mega_run(config, users, think, patch);
@@ -2064,10 +2077,7 @@ pub fn e25(config: &Config) -> TraceFidelity {
         let (est, err) = match arm.trace_p99 {
             Some(p) => (
                 p.to_string(),
-                format!(
-                    "{:+.1}",
-                    ratio_pct(p.as_secs_f64(), true_p99.as_secs_f64())
-                ),
+                format!("{:+.1}", ratio_pct(p.as_secs_f64(), true_p99.as_secs_f64())),
             ),
             None => ("-".to_owned(), "-".to_owned()),
         };
@@ -2159,15 +2169,9 @@ pub fn e26(config: &Config) -> MegaOverload {
     let rows: Vec<(f64, RunReport, RunReport)> = scaleup::par::map(mults, |m| {
         // Stagger spreads arrivals over think/2, so think = 2·users/rate
         // makes the wave offer exactly `m × capacity`.
-        let think =
-            SimDuration::from_nanos((2.0 * users as f64 / (m * capacity_rps) * 1e9) as u64);
-        let unbounded = run_overload_closed(
-            &lab,
-            &app,
-            users,
-            think,
-            Some(OverloadParams::default()),
-        );
+        let think = SimDuration::from_nanos((2.0 * users as f64 / (m * capacity_rps) * 1e9) as u64);
+        let unbounded =
+            run_overload_closed(&lab, &app, users, think, Some(OverloadParams::default()));
         let admitted = run_overload_closed(&lab, &app, users, think, Some(admission.clone()));
         (m, unbounded, admitted)
     });
@@ -2248,9 +2252,7 @@ fn warm_grid_build(config: &Config, users: u64) -> (Engine, ClosedLoop) {
 }
 
 /// The deterministic fields of one grid cell, for the cold-vs-warm check.
-fn warm_grid_fingerprint(
-    rows: &[(u64, SimDuration, RunReport)],
-) -> Vec<(u64, u64, u64, u64, u64)> {
+fn warm_grid_fingerprint(rows: &[(u64, SimDuration, RunReport)]) -> Vec<(u64, u64, u64, u64, u64)> {
     rows.iter()
         .map(|(users, extent, r)| {
             (
@@ -2305,8 +2307,8 @@ pub fn e27(config: &Config) -> WarmStartStudy {
         checkpoint_bytes = checkpoint.len();
         for &extent in &extents {
             let (mut engine, mut load) = warm_grid_build(config, users);
-            let mut r = SnapReader::new(&checkpoint)
-                .expect("the checkpoint written above is well-formed");
+            let mut r =
+                SnapReader::new(&checkpoint).expect("the checkpoint written above is well-formed");
             engine
                 .snap_restore(&mut r)
                 .expect("the checkpoint restores into the engine that wrote it");
@@ -2421,8 +2423,8 @@ fn mega_run_sharded(
                 placed.deployment.clone(),
                 mix_seed(lab.seed, c),
             );
-            let share = users / u64::from(shards)
-                + u64::from(u64::from(c) < users % u64::from(shards));
+            let share =
+                users / u64::from(shards) + u64::from(u64::from(c) < users % u64::from(shards));
             let load = ClosedLoop::new(share)
                 .think_time(think)
                 .coalesce(mega_grain(think))
@@ -2578,7 +2580,11 @@ pub struct ChaosSweep {
 /// timeouts); the retry budget matches E21's recovering arm.
 fn chaos_mitigations(
     baseline: &RunReport,
-) -> Vec<(&'static str, Option<ResilienceParams>, Option<OverloadParams>)> {
+) -> Vec<(
+    &'static str,
+    Option<ResilienceParams>,
+    Option<OverloadParams>,
+)> {
     let plain = derived_resilience(baseline, false).with_retry(RetryPolicy {
         max_retries: 3,
         ..RetryPolicy::default()
@@ -2626,7 +2632,12 @@ fn chaos_lab(
     probe.warmup = SimDuration::from_millis(500);
     probe.measure = SimDuration::from_secs(2);
     let deployment = overload_deployment(&app, &lab.topo);
-    let baseline = probe.run_app_open(&app, deployment.clone(), LbPolicy::LeastOutstanding, rate_rps);
+    let baseline = probe.run_app_open(
+        &app,
+        deployment.clone(),
+        LbPolicy::LeastOutstanding,
+        rate_rps,
+    );
 
     let space = microsvc::PlanSpace {
         instances: OVERLOAD_REPLICAS as u32,
@@ -2733,7 +2744,11 @@ fn chaos_mitigations_hardened(
     // Calibrate from a fault-free probe of the *unmitigated* overload lab
     // (mitigations change p99; the timeout must come from somewhere fixed).
     let app = overload_app();
-    let mut probe = overload_lab(config, SimDuration::from_millis(500), SimDuration::from_secs(2));
+    let mut probe = overload_lab(
+        config,
+        SimDuration::from_millis(500),
+        SimDuration::from_secs(2),
+    );
     probe.shards = 1;
     let capacity_rps = overload_capacity(&probe, &app);
     let baseline = probe.run_app_open(
@@ -2757,7 +2772,11 @@ fn chaos_mitigations_hardened(
 /// No shrinking — the sweep only sizes the violating region per arm.
 pub fn e29(config: &Config) -> ChaosSweep {
     let app = overload_app();
-    let mut probe = overload_lab(config, SimDuration::from_millis(500), SimDuration::from_secs(2));
+    let mut probe = overload_lab(
+        config,
+        SimDuration::from_millis(500),
+        SimDuration::from_secs(2),
+    );
     probe.shards = 1;
     let capacity_rps = overload_capacity(&probe, &app);
     let baseline = probe.run_app_open(
@@ -3044,9 +3063,19 @@ fn show_e3(config: &Config) -> Artifact {
 
 fn show_e4(config: &Config) -> Artifact {
     let r = e4(config);
-    let chart = LineChart::new("throughput vs enabled logical CPUs", "logical CPUs", "req/s")
-        .series("measured", points(&r.points, |p| (p.n as f64, p.throughput_rps)))
-        .series("USL fit", points(&r.points, |p| (p.n as f64, r.fit.predict(p.n as f64))));
+    let chart = LineChart::new(
+        "throughput vs enabled logical CPUs",
+        "logical CPUs",
+        "req/s",
+    )
+    .series(
+        "measured",
+        points(&r.points, |p| (p.n as f64, p.throughput_rps)),
+    )
+    .series(
+        "USL fit",
+        points(&r.points, |p| (p.n as f64, r.fit.predict(p.n as f64))),
+    );
     Artifact::new(&r.table)
         .csv("e4_scaleup.csv", csv_scale_points(&r.points))
         .chart("E4: scale-up", chart)
@@ -3079,11 +3108,19 @@ fn show_e8(config: &Config) -> Artifact {
             ]
         })
         .collect();
-    Artifact::new(&r.table).csv("e8_placement.csv", csv_e8(&r)).html_table(
-        "E8: placement policies (headline)",
-        &["policy", "throughput", "mean latency", "util", "vs baseline"],
-        rows,
-    )
+    Artifact::new(&r.table)
+        .csv("e8_placement.csv", csv_e8(&r))
+        .html_table(
+            "E8: placement policies (headline)",
+            &[
+                "policy",
+                "throughput",
+                "mean latency",
+                "util",
+                "vs baseline",
+            ],
+            rows,
+        )
 }
 
 fn show_e15(config: &Config) -> Artifact {
@@ -3139,13 +3176,23 @@ fn show_e19(config: &Config) -> Artifact {
 fn show_e20(config: &Config) -> Artifact {
     let r = e20(config);
     let x_label = "offered load (× capacity)";
-    let mut goodput = LineChart::new("goodput vs offered load (multiple of capacity)", x_label, "req/s");
+    let mut goodput = LineChart::new(
+        "goodput vs offered load (multiple of capacity)",
+        x_label,
+        "req/s",
+    );
     let mut p99 = LineChart::new("p99 latency vs offered load", x_label, "p99 µs");
     for (name, admitted) in [("unbounded", false), ("admission control", true)] {
-        let arm: Vec<(f64, &RunReport)> =
-            r.rows.iter().map(|(m, u, a)| (*m, if admitted { a } else { u })).collect();
+        let arm: Vec<(f64, &RunReport)> = r
+            .rows
+            .iter()
+            .map(|(m, u, a)| (*m, if admitted { a } else { u }))
+            .collect();
         goodput = goodput.series(name, points(&arm, |(m, rep)| (*m, rep.throughput_rps)));
-        p99 = p99.series(name, points(&arm, |(m, rep)| (*m, rep.latency_p99.as_micros_f64())));
+        p99 = p99.series(
+            name,
+            points(&arm, |(m, rep)| (*m, rep.latency_p99.as_micros_f64())),
+        );
     }
     Artifact::new(&r.table)
         .csv("e20_overload_sweep.csv", csv_e20(&r))
@@ -3196,7 +3243,14 @@ fn show_e21(config: &Config) -> Artifact {
         .chart("E21: retry-storm metastability — queue depth", depth)
         .html_table(
             "E21: overload counters",
-            &["config", "goodput", "timed out", "budget-denied", "shed", "deferred"],
+            &[
+                "config",
+                "goodput",
+                "timed out",
+                "budget-denied",
+                "shed",
+                "deferred",
+            ],
             rows,
         )
 }
@@ -3216,15 +3270,17 @@ fn show_e22(config: &Config) -> Artifact {
         .class_goodput
         .iter()
         .flat_map(|(arm, classes)| {
-            classes.iter().map(move |(class, submitted, failed, goodput)| {
-                vec![
-                    arm.clone(),
-                    class.clone(),
-                    submitted.to_string(),
-                    failed.to_string(),
-                    format!("{:.1}%", goodput * 100.0),
-                ]
-            })
+            classes
+                .iter()
+                .map(move |(class, submitted, failed, goodput)| {
+                    vec![
+                        arm.clone(),
+                        class.clone(),
+                        submitted.to_string(),
+                        failed.to_string(),
+                        format!("{:.1}%", goodput * 100.0),
+                    ]
+                })
         })
         .collect();
     Artifact::new(&r.table)
@@ -3252,10 +3308,24 @@ fn show_e23(config: &Config) -> Artifact {
 
 fn show_e24(config: &Config) -> Artifact {
     let r = e24(config);
-    let bytes = LineChart::new("engine + generator bytes per closed-loop user", "users", "B/user")
-        .series("bytes/user", points(&r.rows, |p| (p.users as f64, p.bytes_per_user)));
-    let speed = LineChart::new("calendar events per host wall-clock second", "users", "events/s")
-        .series("events/s", points(&r.rows, |p| (p.users as f64, p.events_per_sec)));
+    let bytes = LineChart::new(
+        "engine + generator bytes per closed-loop user",
+        "users",
+        "B/user",
+    )
+    .series(
+        "bytes/user",
+        points(&r.rows, |p| (p.users as f64, p.bytes_per_user)),
+    );
+    let speed = LineChart::new(
+        "calendar events per host wall-clock second",
+        "users",
+        "events/s",
+    )
+    .series(
+        "events/s",
+        points(&r.rows, |p| (p.users as f64, p.events_per_sec)),
+    );
     // The table embeds wall-clock events/s; pin the simulated row fields.
     let rows: Vec<_> = r
         .rows
@@ -3285,9 +3355,15 @@ fn show_e26(config: &Config) -> Artifact {
         "p99 µs",
     );
     for (name, admitted) in [("unbounded", false), ("admission control", true)] {
-        p99 = p99.series(name, points(&r.rows, |(m, u, a)| {
-            (*m, (if admitted { a } else { u }).latency_p99.as_micros_f64())
-        }));
+        p99 = p99.series(
+            name,
+            points(&r.rows, |(m, u, a)| {
+                (
+                    *m,
+                    (if admitted { a } else { u }).latency_p99.as_micros_f64(),
+                )
+            }),
+        );
     }
     Artifact::new(&r.table)
         .csv("e26_mega_overload.csv", csv_e26(&r))
@@ -3298,24 +3374,37 @@ fn show_e27(config: &Config) -> Artifact {
     let r = e27(config);
     // The table embeds wall-clock seconds; pin the cell fingerprints the
     // cold-vs-warm check compares, plus its verdict.
-    let cells = [warm_grid_fingerprint(&r.cold), warm_grid_fingerprint(&r.warm)].concat();
+    let cells = [
+        warm_grid_fingerprint(&r.cold),
+        warm_grid_fingerprint(&r.warm),
+    ]
+    .concat();
     Artifact::new(&r.table)
         .csv("e27_warm_start.csv", csv_e27(&r))
-        .check(r.identical, "e27 FAILED: warm-started grid diverged from the cold run")
+        .check(
+            r.identical,
+            "e27 FAILED: warm-started grid diverged from the cold run",
+        )
         .fingerprint(Some(format!("{cells:?} {}", r.identical)))
 }
 
 fn show_e28(config: &Config) -> Artifact {
     let r = e28(config);
     let mut eps = LineChart::new("event rate vs shard count", "shards", "events/s");
-    let mut speedup =
-        LineChart::new("speedup over the 1-shard arm vs shard count", "shards", "speedup");
+    let mut speedup = LineChart::new(
+        "speedup over the 1-shard arm vs shard count",
+        "shards",
+        "speedup",
+    );
     let mut populations: Vec<u64> = r.rows.iter().map(|p| p.users).collect();
     populations.dedup();
     for users in populations {
         let arm: Vec<&ShardScalePoint> = r.rows.iter().filter(|p| p.users == users).collect();
         let name = format!("{users} users");
-        eps = eps.series(&name, points(&arm, |p| (f64::from(p.shards), p.events_per_sec)));
+        eps = eps.series(
+            &name,
+            points(&arm, |p| (f64::from(p.shards), p.events_per_sec)),
+        );
         speedup = speedup.series(&name, points(&arm, |p| (f64::from(p.shards), p.speedup)));
     }
     // The simulated columns only: events/s and speedup are host measurements.
@@ -3547,8 +3636,7 @@ pub fn csv_e20(result: &OverloadSweep) -> String {
 
 /// CSV of the E21 per-bucket goodput and queue-depth traces (long format).
 pub fn csv_e21_series(result: &MetastabilityStudy) -> String {
-    let mut csv =
-        scaleup::report::Csv::new(&["config", "t_secs", "goodput_rps", "queue_depth"]);
+    let mut csv = scaleup::report::Csv::new(&["config", "t_secs", "goodput_rps", "queue_depth"]);
     for (name, r) in &result.rows {
         let depth: simcore::DetHashMap<u64, f64> = r
             .queue_depth_series
@@ -3573,13 +3661,8 @@ pub fn csv_e21_series(result: &MetastabilityStudy) -> String {
 
 /// CSV of the E22 per-class goodput (one row per arm × class).
 pub fn csv_e22(result: &BrownoutStudy) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "config",
-        "class",
-        "submitted",
-        "shed",
-        "goodput_fraction",
-    ]);
+    let mut csv =
+        scaleup::report::Csv::new(&["config", "class", "submitted", "shed", "goodput_fraction"]);
     for (arm, classes) in &result.class_goodput {
         for (class, submitted, failed, goodput) in classes {
             csv.row(&[
@@ -3657,8 +3740,7 @@ pub fn csv_e25(result: &TraceFidelity) -> String {
         csv.row(&[
             arm.mode,
             &arm.report.traces_retained.to_string(),
-            &arm
-                .report
+            &arm.report
                 .engine_footprint_bytes
                 .saturating_sub(off_footprint)
                 .to_string(),
@@ -3824,7 +3906,10 @@ pub fn ablate_balance(config: &Config) -> String {
             let mut lab = config.lab.clone();
             lab.engine_params.sched.steal_enabled = enabled;
             lab.engine_params.sched.steal_max_level = level;
-            (name, lab.run_policy(&config.store, Policy::Unpinned, &replicas))
+            (
+                name,
+                lab.run_policy(&config.store, Policy::Unpinned, &replicas),
+            )
         },
     );
     for (name, r) in rows {
@@ -3849,7 +3934,10 @@ pub fn ablate_quantum(config: &Config) -> String {
     let rows = scaleup::par::map(vec![1u64, 3, 10, 30], |ms| {
         let mut lab = config.lab.clone();
         lab.engine_params.sched.quantum = SimDuration::from_millis(ms);
-        (ms, lab.run_policy(&config.store, Policy::Unpinned, &replicas))
+        (
+            ms,
+            lab.run_policy(&config.store, Policy::Unpinned, &replicas),
+        )
     });
     for (ms, r) in rows {
         let _ = writeln!(
@@ -4002,7 +4090,11 @@ mod tests {
             .map(|e| format!("e{e}"))
             .chain((1..=4).map(|a| format!("a{a}")))
             .collect();
-        let all: Vec<&str> = EXPERIMENTS.iter().filter(|e| e.in_all()).map(|e| e.id).collect();
+        let all: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.in_all())
+            .map(|e| e.id)
+            .collect();
         assert_eq!(all, numbered);
         // Plus the three self-checks run only by name, no id twice.
         let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
@@ -4016,7 +4108,11 @@ mod tests {
         let c = quick();
         let study = e27(&c);
         assert_eq!(study.cold.len(), study.warm.len());
-        assert!(study.identical, "warm-started grid diverged:\n{}", study.table);
+        assert!(
+            study.identical,
+            "warm-started grid diverged:\n{}",
+            study.table
+        );
         assert_eq!(
             csv_e27_arm(&study.cold),
             csv_e27_arm(&study.warm),
@@ -4037,7 +4133,11 @@ mod tests {
     fn e20_admission_control_caps_the_overload_tail() {
         let c = quick();
         let sweep = e20(&c);
-        assert!(sweep.capacity_rps > 100.0, "capacity {}", sweep.capacity_rps);
+        assert!(
+            sweep.capacity_rps > 100.0,
+            "capacity {}",
+            sweep.capacity_rps
+        );
         let (m, unbounded, admitted) = sweep.rows.last().expect("has rows");
         assert!(*m >= 2.0);
         // Unbounded queues under 3× load: tail explodes, nothing is shed.

@@ -44,12 +44,22 @@ fn assert_one_line_failure(out: &Output) {
 
 #[test]
 fn unwritable_csv_dir_exits_1_without_a_panic() {
-    assert_one_line_failure(&repro(&["--quick", "--csv", &unwritable("csv_blocker"), "e1"]));
+    assert_one_line_failure(&repro(&[
+        "--quick",
+        "--csv",
+        &unwritable("csv_blocker"),
+        "e1",
+    ]));
 }
 
 #[test]
 fn unwritable_html_file_exits_1_without_a_panic() {
-    assert_one_line_failure(&repro(&["--quick", "--html", &unwritable("html_blocker"), "e1"]));
+    assert_one_line_failure(&repro(&[
+        "--quick",
+        "--html",
+        &unwritable("html_blocker"),
+        "e1",
+    ]));
 }
 
 #[test]
@@ -73,7 +83,9 @@ fn usage_names_every_experiment() {
     let usage = stderr(&out);
     for e in EXPERIMENTS {
         assert!(
-            usage.lines().any(|l| l.split_whitespace().next() == Some(e.id)),
+            usage
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(e.id)),
             "usage text does not list {}:\n{usage}",
             e.id
         );

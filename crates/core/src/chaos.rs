@@ -84,17 +84,22 @@ impl ChaosReport {
     /// Violation counts per invariant, counting each violating plan once
     /// per invariant it violated.
     pub fn by_invariant(&self) -> Vec<(Slo, usize)> {
-        [Slo::P99Ceiling, Slo::GoodputFloor, Slo::Recovery, Slo::Metastable]
-            .into_iter()
-            .map(|slo| {
-                let n = self
-                    .findings
-                    .iter()
-                    .filter(|f| f.verdict.violated.contains(&slo))
-                    .count();
-                (slo, n)
-            })
-            .collect()
+        [
+            Slo::P99Ceiling,
+            Slo::GoodputFloor,
+            Slo::Recovery,
+            Slo::Metastable,
+        ]
+        .into_iter()
+        .map(|slo| {
+            let n = self
+                .findings
+                .iter()
+                .filter(|f| f.verdict.violated.contains(&slo))
+                .count();
+            (slo, n)
+        })
+        .collect()
     }
 
     /// The machine-readable report `repro chaos` writes (hand-rolled JSON,

@@ -4,8 +4,8 @@ use crate::placement::{PlacedDeployment, Policy};
 use cputopo::Topology;
 use loadgen::{ClosedLoop, OpenLoop};
 use microsvc::{
-    mix_seed, AppSpec, Deployment, Engine, EngineParams, FaultPlan, LbPolicy, RunReport,
-    ShardSpec, ShardedRun, WindowPolicy,
+    mix_seed, AppSpec, Deployment, Engine, EngineParams, FaultPlan, LbPolicy, RunReport, ShardSpec,
+    ShardedRun, WindowPolicy,
 };
 use simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
 use std::sync::Arc;
@@ -254,8 +254,8 @@ impl Lab {
             run.snap_save(&mut w);
             let bytes = w.finish();
             let mut resumed = self.build_closed_cells(app, &deployment, lb);
-            let mut r = SnapReader::new(&bytes)
-                .expect("a snapshot taken in-process is well-formed");
+            let mut r =
+                SnapReader::new(&bytes).expect("a snapshot taken in-process is well-formed");
             resumed
                 .snap_restore(&mut r)
                 .expect("a snapshot taken in-process restores into the same config");
@@ -431,8 +431,8 @@ impl Lab {
             load.snap_save(&mut w);
             let bytes = w.finish();
             let (mut engine, mut load) = self.build_open(app, deployment, lb, rate_rps);
-            let mut r = SnapReader::new(&bytes)
-                .expect("a snapshot taken in-process is well-formed");
+            let mut r =
+                SnapReader::new(&bytes).expect("a snapshot taken in-process is well-formed");
             engine
                 .snap_restore(&mut r)
                 .expect("a snapshot taken in-process restores into the same config");

@@ -81,7 +81,9 @@ pub fn run_seeds(
 ) -> Vec<RunReport> {
     assert!(!seeds.is_empty(), "need at least one seed");
     crate::par::map(seeds.to_vec(), |seed| {
-        lab.clone().with_seed(seed).run_policy(store, policy, replicas)
+        lab.clone()
+            .with_seed(seed)
+            .run_policy(store, policy, replicas)
     })
 }
 

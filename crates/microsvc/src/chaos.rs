@@ -1000,7 +1000,10 @@ fn weaken_candidates(ev: &FaultEvent) -> Vec<(&'static str, FaultEvent)> {
                 delay,
             };
             if ms(shorter) >= ms(MIN_WINDOW) {
-                out.push(("narrow-left", clone(*until - shorter, *until, *drop, *delay)));
+                out.push((
+                    "narrow-left",
+                    clone(*until - shorter, *until, *drop, *delay),
+                ));
                 out.push(("narrow-right", clone(*from, *from + shorter, *drop, *delay)));
             }
             let d = drop_quanta(*drop) / 2;
@@ -1086,12 +1089,11 @@ mod tests {
         // must be a single crash event on instance 0 alone, shrunk to the
         // minimum window.
         let s = space();
-        let violates =
-            |p: &ChaosPlan| {
-                p.events.iter().any(|e| {
+        let violates = |p: &ChaosPlan| {
+            p.events.iter().any(|e| {
                     matches!(e, FaultEvent::Crash { instances, .. } if instances.contains(&InstanceId(0)))
                 })
-            };
+        };
         for index in 0..64 {
             let plan = s.sample(9, index);
             if !violates(&plan) {

@@ -92,11 +92,8 @@ impl Balancer {
             "cannot balance across zero instances"
         );
         if candidates.iter().any(|c| !c.available) {
-            let healthy: Vec<Candidate> = candidates
-                .iter()
-                .filter(|c| c.available)
-                .copied()
-                .collect();
+            let healthy: Vec<Candidate> =
+                candidates.iter().filter(|c| c.available).copied().collect();
             if !healthy.is_empty() {
                 return self.pick_among(&healthy, caller_cpu, topo);
             }

@@ -84,11 +84,11 @@ pub use engine::{Engine, EngineParams};
 pub use fault::{Crash, FaultCause, FaultPlan, ReplyFault, Slowdown};
 pub use ids::{ClientId, InstanceId, RequestClassId, RequestId, ServiceId};
 pub use lb::LbPolicy;
+pub use metrics::{OverloadTotals, RunReport, ServiceReport};
 pub use overload::{
     AdmissionPolicy, AimdLimiter, LimitAction, LimiterPolicy, OverloadParams, PriorityPolicy,
     RetryBudget, RetryBudgetPolicy, ShedReason,
 };
-pub use metrics::{OverloadTotals, RunReport, ServiceReport};
 pub use resilience::{BreakerPolicy, BreakerState, CircuitBreaker, ResilienceParams, RetryPolicy};
 pub use shard::{
     mix_seed, ShardDriver, ShardSpec, ShardedRun, SnapDriver, SyncStats, WindowPolicy,

@@ -213,7 +213,9 @@ impl Default for LimiterPolicy {
 impl LimiterPolicy {
     pub fn validate(&self) {
         assert!(
-            self.min >= 1.0 && self.max >= self.min && (self.min..=self.max).contains(&self.initial),
+            self.min >= 1.0
+                && self.max >= self.min
+                && (self.min..=self.max).contains(&self.initial),
             "limiter requires 1 <= min <= initial <= max"
         );
         assert!(

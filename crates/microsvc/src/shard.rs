@@ -309,7 +309,11 @@ impl EngineCtx for CellCtx<'_> {
                     // the destination independent of the crossing decision.
                     let pick = (h >> 10) % u64::from(st.cells - 1);
                     let dst = pick as u32;
-                    if dst >= st.cell { dst + 1 } else { dst }
+                    if dst >= st.cell {
+                        dst + 1
+                    } else {
+                        dst
+                    }
                 };
                 let prev = st.parked.insert(
                     client,
@@ -982,13 +986,18 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
                                 }
                             }
                             cell.scratch.sort_unstable();
-                            let Cell { engine, driver, scratch, .. } = cell;
+                            let Cell {
+                                engine,
+                                driver,
+                                scratch,
+                                ..
+                            } = cell;
                             for msg in scratch.iter() {
                                 engine.inject_timer_at(msg.arrival, SHARD_TOKEN);
                                 driver.st.pending.push(Reverse(*msg));
                             }
-                            let cell_idle = cell.engine.is_stopped()
-                                || cell.engine.next_event_time().is_none();
+                            let cell_idle =
+                                cell.engine.is_stopped() || cell.engine.next_event_time().is_none();
                             idle[base + ci].store(cell_idle, Ordering::Release);
                         }
                         barriers += 1;
@@ -998,9 +1007,7 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
                         // same round traffic, so neither the stop decision
                         // nor the next round's width can depend on the
                         // worker count.
-                        if target >= until
-                            || idle.iter().all(|f| f.load(Ordering::Acquire))
-                        {
+                        if target >= until || idle.iter().all(|f| f.load(Ordering::Acquire)) {
                             if base == 0 {
                                 // Resume at the barrier closing the window
                                 // that holds `target`, not at `round_end`:
@@ -1014,7 +1021,11 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
                             }
                             break;
                         }
-                        quiet = if round_msgs == 0 { quiet.saturating_add(1) } else { 0 };
+                        quiet = if round_msgs == 0 {
+                            quiet.saturating_add(1)
+                        } else {
+                            0
+                        };
                         t = round_end + window;
                     }
                     // simlint: hotpath(end)
@@ -1050,7 +1061,12 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
         for cell in &self.cells {
             cell.engine.snap_save(w);
             cell.driver.inner.driver_snap_save(w);
-            save_shard_state(&cell.driver.st, w, &mut pending_scratch, &mut client_scratch);
+            save_shard_state(
+                &cell.driver.st,
+                w,
+                &mut pending_scratch,
+                &mut client_scratch,
+            );
         }
     }
 
@@ -1265,12 +1281,17 @@ mod tests {
             src,
             dst: 0,
             seq,
-            payload: Payload::Call { client: 0, class: 0 },
+            payload: Payload::Call {
+                client: 0,
+                class: 0,
+            },
         };
         let mut v = [m(5, 1, 0), m(5, 0, 9), m(3, 2, 2), m(5, 0, 1)];
         v.sort_unstable();
-        let keys: Vec<(u64, u32, u64)> =
-            v.iter().map(|m| (m.arrival.as_nanos(), m.src, m.seq)).collect();
+        let keys: Vec<(u64, u32, u64)> = v
+            .iter()
+            .map(|m| (m.arrival.as_nanos(), m.src, m.seq))
+            .collect();
         assert_eq!(keys, vec![(3, 2, 2), (5, 0, 1), (5, 0, 9), (5, 1, 0)]);
     }
 
@@ -1291,10 +1312,16 @@ mod tests {
             src: 0,
             dst: 1,
             seq: 0,
-            payload: Payload::Call { client: 0, class: 0 },
+            payload: Payload::Call {
+                client: 0,
+                class: 0,
+            },
         };
         // Sent mid-window → the end of that window.
-        assert_eq!(inject_barrier(&m(1), w, far), SimTime::from_nanos(1_000_000));
+        assert_eq!(
+            inject_barrier(&m(1), w, far),
+            SimTime::from_nanos(1_000_000)
+        );
         assert_eq!(
             inject_barrier(&m(999_999), w, far),
             SimTime::from_nanos(1_000_000)
@@ -1310,7 +1337,10 @@ mod tests {
             SimTime::from_nanos(2_000_000)
         );
         // Sent at time zero (before the first barrier) → the first barrier.
-        assert_eq!(inject_barrier(&m(0), w, far), SimTime::from_nanos(1_000_000));
+        assert_eq!(
+            inject_barrier(&m(0), w, far),
+            SimTime::from_nanos(1_000_000)
+        );
         // An `until` cut clamps to the cut, like the final short window.
         let cut = SimTime::from_nanos(1_500_000);
         assert_eq!(inject_barrier(&m(1_200_000), w, cut), cut);
@@ -1334,7 +1364,10 @@ mod tests {
             src: 1,
             dst: 2,
             seq: 3,
-            payload: Payload::Call { client: 7, class: 0 },
+            payload: Payload::Call {
+                client: 7,
+                class: 0,
+            },
         };
         let mut other = m;
         other.payload = Payload::Reply {

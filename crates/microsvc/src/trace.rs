@@ -370,17 +370,11 @@ impl Tracer {
             1 => {
                 let capacity = r.usize()?;
                 if capacity == 0 {
-                    return Err(SnapError::Corrupt(
-                        "reservoir capacity is zero".to_owned(),
-                    ));
+                    return Err(SnapError::Corrupt("reservoir capacity is zero".to_owned()));
                 }
                 Some((capacity, Rng::load(r)?))
             }
-            other => {
-                return Err(SnapError::Corrupt(format!(
-                    "unknown reservoir tag {other}"
-                )))
-            }
+            other => return Err(SnapError::Corrupt(format!("unknown reservoir tag {other}"))),
         };
         let seen = r.u64()?;
         let traces = Vec::<RequestTrace>::load(r)?;
@@ -598,7 +592,11 @@ mod tests {
             for i in 0..1000u64 {
                 tracer.maybe_open(i, RequestId(i), RequestClassId(0), t(i));
             }
-            tracer.traces().iter().map(|tr| tr.request.0).collect::<Vec<_>>()
+            tracer
+                .traces()
+                .iter()
+                .map(|tr| tr.request.0)
+                .collect::<Vec<_>>()
         };
         assert_eq!(sample(7), sample(7));
         assert_ne!(sample(7), sample(8), "different seeds, different samples");

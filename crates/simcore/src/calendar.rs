@@ -625,8 +625,8 @@ impl<E> Calendar<E> {
                 }
                 if let Some(t) = self.levels[level].scan(from) {
                     let shift = level_shift(level);
-                    self.base = (block_of(self.base, level) << (shift + SLOT_BITS))
-                        | ((t as u64) << shift);
+                    self.base =
+                        (block_of(self.base, level) << (shift + SLOT_BITS)) | ((t as u64) << shift);
                     self.cascade(level, t);
                     jumped = true;
                     break;
@@ -1092,7 +1092,9 @@ mod tests {
         let mut tokens = Vec::new();
         let mut state = 0x9e37_79b9_97f4_a7c5u64; // deterministic LCG
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 33
         };
         for round in 0..400u64 {

@@ -119,6 +119,10 @@ mod tests {
             h.write_u64(k);
             low7.insert(h.finish() & 0x7f);
         }
-        assert!(low7.len() > 64, "only {} distinct low-7-bit values", low7.len());
+        assert!(
+            low7.len() > 64,
+            "only {} distinct low-7-bit values",
+            low7.len()
+        );
     }
 }

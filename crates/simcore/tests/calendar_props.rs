@@ -60,12 +60,19 @@ impl Model {
 enum Op {
     /// Schedule `delta` ns after the current clock (spans all wheel levels
     /// and the overflow heap).
-    Schedule { delta: u64 },
+    Schedule {
+        delta: u64,
+    },
     /// Cancel the `nth` still-remembered token (may already have fired).
-    Cancel { nth: usize },
+    Cancel {
+        nth: usize,
+    },
     /// Move the `nth` remembered token's event to `delta` ns after the
     /// clock (a plain schedule if it already fired or was cancelled).
-    Reschedule { nth: usize, delta: u64 },
+    Reschedule {
+        nth: usize,
+        delta: u64,
+    },
     Pop,
     Peek,
 }

@@ -182,7 +182,8 @@ mod tests {
 
     #[test]
     fn respects_depth_bound() {
-        let src = "fn a() { b(); }\nfn b() { c(); }\nfn c() { d(); }\nfn d() { let v = Vec::new(); }\n";
+        let src =
+            "fn a() { b(); }\nfn b() { c(); }\nfn c() { d(); }\nfn d() { let v = Vec::new(); }\n";
         let fs = files(src);
         let idx = RepoIndex::build(&fs);
         // d is 4 hops from the call *site* of a — but find_alloc_chain
@@ -245,11 +246,7 @@ mod tests {
             "pub fn map() { let v: Vec<u32> = it.collect(); }\n",
             false,
         );
-        let b = SourceFile::new(
-            "crates/core/src/other.rs",
-            "pub fn map() {}\n",
-            false,
-        );
+        let b = SourceFile::new("crates/core/src/other.rs", "pub fn map() {}\n", false);
         let fs = vec![a, b];
         let idx = RepoIndex::build(&fs);
         let chain = find_alloc_chain(&idx, &fs, &path("par", "map"), None).expect("resolved");

@@ -194,8 +194,8 @@ pub const ALLOC_NEEDLES: &[&str] = &[
 /// Keywords that look like calls when followed by `(`.
 const NON_CALL_KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "fn", "as", "in", "move", "else", "unsafe",
-    "let", "mut", "ref", "impl", "pub", "where", "use", "crate", "box", "dyn", "Some", "Ok",
-    "Err", "None",
+    "let", "mut", "ref", "impl", "pub", "where", "use", "crate", "box", "dyn", "Some", "Ok", "Err",
+    "None",
 ];
 
 impl RepoIndex {
@@ -238,7 +238,8 @@ impl RepoIndex {
             .filter(|f| f.name == name && f.owner.is_none())
             .filter(|f| {
                 let rel = &files[f.file].rel;
-                rel.ends_with(&format!("/{module}.rs")) || rel.ends_with(&format!("/{module}/mod.rs"))
+                rel.ends_with(&format!("/{module}.rs"))
+                    || rel.ends_with(&format!("/{module}/mod.rs"))
             })
             .collect()
     }
@@ -261,7 +262,10 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn new(lines: &'a [String]) -> Cursor<'a> {
-        let chars = lines.first().map(|l| l.chars().collect()).unwrap_or_default();
+        let chars = lines
+            .first()
+            .map(|l| l.chars().collect())
+            .unwrap_or_default();
         Cursor {
             lines,
             line: 0,
@@ -880,11 +884,19 @@ mod tests {
     fn indexes_fns_with_owners_and_calls() {
         let src = "impl Snap for Foo {\n    fn save(&self, w: &mut W) {\n        w.u64(self.a);\n        helper(self.b);\n    }\n}\nfn helper(x: u64) {\n    let v = Vec::new();\n    other::thing(x);\n}\n";
         let idx = RepoIndex::build(&[file(src)]);
-        let save = idx.fns_of("Foo", "save").into_iter().next().expect("save indexed");
+        let save = idx
+            .fns_of("Foo", "save")
+            .into_iter()
+            .next()
+            .expect("save indexed");
         assert_eq!(save.line, 1);
         assert!(save.calls.iter().any(|c| c.callee == "helper"));
         assert!(save.calls.iter().any(|c| c.callee == "u64"));
-        let helper = idx.fns_named("helper").into_iter().find(|f| f.owner.is_none()).unwrap();
+        let helper = idx
+            .fns_named("helper")
+            .into_iter()
+            .find(|f| f.owner.is_none())
+            .unwrap();
         assert_eq!(helper.allocs.len(), 1);
         assert_eq!(helper.allocs[0].needle, "Vec::new");
         let thing = helper.calls.iter().find(|c| c.callee == "thing").unwrap();
@@ -905,7 +917,11 @@ mod tests {
         assert_eq!(recv_of("step"), Some(Recv::SelfDot));
         assert_eq!(recv_of("helper"), Some(Recv::Bare));
         assert_eq!(recv_of("make"), Some(Recv::Path("Bar".to_owned())));
-        assert_eq!(recv_of("push"), Some(Recv::Other), "`self.queue.push` is not a self-call");
+        assert_eq!(
+            recv_of("push"),
+            Some(Recv::Other),
+            "`self.queue.push` is not a self-call"
+        );
         assert_eq!(recv_of("map"), Some(Recv::Path("par".to_owned())));
     }
 
@@ -913,8 +929,20 @@ mod tests {
     fn fenced_and_allowed_alloc_lines_are_not_recorded() {
         let src = "// simlint: hotpath(begin)\nfn fenced() {\n    let v = Vec::new();\n}\n// simlint: hotpath(end)\nfn cold() {\n    let v = Vec::new(); // simlint: allow(H3) — cold start\n}\n";
         let idx = RepoIndex::build(&[file(src)]);
-        assert!(idx.fns_named("fenced").into_iter().next().unwrap().allocs.is_empty());
-        assert!(idx.fns_named("cold").into_iter().next().unwrap().allocs.is_empty());
+        assert!(idx
+            .fns_named("fenced")
+            .into_iter()
+            .next()
+            .unwrap()
+            .allocs
+            .is_empty());
+        assert!(idx
+            .fns_named("cold")
+            .into_iter()
+            .next()
+            .unwrap()
+            .allocs
+            .is_empty());
     }
 
     #[test]
@@ -938,7 +966,8 @@ mod tests {
 
     #[test]
     fn impl_for_reference_target() {
-        let src = "impl<'a> Snap for &'a mut Foo {\n    fn save(&self, w: &mut W) { w.u64(1); }\n}\n";
+        let src =
+            "impl<'a> Snap for &'a mut Foo {\n    fn save(&self, w: &mut W) { w.u64(1); }\n}\n";
         let idx = RepoIndex::build(&[file(src)]);
         assert!(idx.fns_of("Foo", "save").into_iter().next().is_some());
     }

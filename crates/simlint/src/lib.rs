@@ -320,7 +320,11 @@ pub fn render_text(report: &Report) -> String {
         report.findings.len(),
         report.gating_count(),
         report.stale_baseline.len(),
-        if report.stale_baseline.len() == 1 { "y" } else { "ies" }
+        if report.stale_baseline.len() == 1 {
+            "y"
+        } else {
+            "ies"
+        }
     ));
     out
 }
@@ -361,7 +365,9 @@ pub fn render_github(report: &Report) -> String {
 
 /// Escapes the data part of a GitHub workflow command (`%`, CR, LF).
 fn github_escape_data(s: &str) -> String {
-    s.replace('%', "%25").replace('\r', "%0D").replace('\n', "%0A")
+    s.replace('%', "%25")
+        .replace('\r', "%0D")
+        .replace('\n', "%0A")
 }
 
 fn json_escape(s: &str) -> String {
@@ -461,9 +467,7 @@ mod tests {
 
     #[test]
     fn baseline_marks_but_does_not_gate() {
-        let cfg = Config::from_toml(
-            "[baseline]\nentries = [\"D1:crates/x/src/lib.rs\"]\n",
-        );
+        let cfg = Config::from_toml("[baseline]\nentries = [\"D1:crates/x/src/lib.rs\"]\n");
         let findings = lint_source(
             "crates/x/src/lib.rs",
             "use std::collections::HashMap;\n",
@@ -556,7 +560,10 @@ mod tests {
         let src = "struct S { a: u64 }\nimpl S {\n    fn snap_save(&self) {}\n    fn snap_restore(&mut self) {}\n}\n";
         let report = lint_sources(&[("crates/x/src/lib.rs", src)], &cfg);
         assert!(
-            report.findings.iter().any(|f| f.rule == "S1" && f.line == 1),
+            report
+                .findings
+                .iter()
+                .any(|f| f.rule == "S1" && f.line == 1),
             "field `a` unplumbed: {:?}",
             report.findings
         );

@@ -257,9 +257,18 @@ pub fn d3_unlabeled_rng(ctx: &FileCtx, cfg: &RuleCfg, out: &mut Vec<Finding>) {
 /// from outside the parallel boundary, where completion order is
 /// nondeterministic.
 pub fn d4_parallel_accumulation(ctx: &FileCtx, cfg: &RuleCfg, out: &mut Vec<Finding>) {
-    captured_accumulation(ctx, cfg, "D4", out, |line| find_token(line, "par::map"), |base, op| {
-        format!("`{base} {op} …` accumulates into a binding captured across the par::map boundary")
-    });
+    captured_accumulation(
+        ctx,
+        cfg,
+        "D4",
+        out,
+        |line| find_token(line, "par::map"),
+        |base, op| {
+            format!(
+                "`{base} {op} …` accumulates into a binding captured across the par::map boundary"
+            )
+        },
+    );
 }
 
 /// D6: compound mutation of a captured binding inside a `spawn(…)` closure.
@@ -786,8 +795,7 @@ pub fn h3_hotpath_call_alloc(
             {
                 continue;
             }
-            let Some(chain) =
-                callgraph::find_alloc_chain(index, files, call, f.owner.as_deref())
+            let Some(chain) = callgraph::find_alloc_chain(index, files, call, f.owner.as_deref())
             else {
                 continue;
             };

@@ -351,7 +351,11 @@ mod tests {
         let m = model(src);
         assert_eq!(m.code.len(), 5);
         assert!(!m.code[2].contains("still"));
-        assert!(m.code[3].contains("let a"), "code resumes on line 4: {:?}", m.code);
+        assert!(
+            m.code[3].contains("let a"),
+            "code resumes on line 4: {:?}",
+            m.code
+        );
         assert!(m.code[4].contains("let b"));
     }
 
@@ -360,13 +364,23 @@ mod tests {
         let src = "let a = \"HashMap\";\r\n// simlint: allow(D1)\r\nlet b = HashMap::new();\r\nlet c = 3;\r\n";
         let m = model(src);
         assert!(!m.code[0].contains("HashMap"), "string blanked under CRLF");
-        assert!(m.is_allowed(2, "D1"), "standalone directive applies to the next line");
-        assert!(m.code[2].contains("HashMap"), "code survives on the right line");
+        assert!(
+            m.is_allowed(2, "D1"),
+            "standalone directive applies to the next line"
+        );
+        assert!(
+            m.code[2].contains("HashMap"),
+            "code survives on the right line"
+        );
         // The `\r` must not leak into the code view: every line stays
         // char-aligned with `str::lines()` of the raw source.
         for (line, raw) in m.code.iter().zip(src.lines()) {
             assert!(!line.contains('\r'));
-            assert_eq!(line.chars().count(), raw.chars().count(), "1:1 char mapping");
+            assert_eq!(
+                line.chars().count(),
+                raw.chars().count(),
+                "1:1 char mapping"
+            );
         }
     }
 
@@ -374,12 +388,28 @@ mod tests {
     fn byte_strings_are_blanked_without_drift() {
         let src = "let a = b\"Instant::now()\";\nlet b = br#\"SystemTime\"#;\nlet c = b'\\xff';\nlet d = 4;";
         let m = model(src);
-        assert!(!m.code[0].contains("Instant"), "byte string blanked: {:?}", m.code[0]);
-        assert!(!m.code[1].contains("SystemTime"), "raw byte string blanked: {:?}", m.code[1]);
-        assert!(!m.code[2].contains("xff"), "byte char blanked: {:?}", m.code[2]);
+        assert!(
+            !m.code[0].contains("Instant"),
+            "byte string blanked: {:?}",
+            m.code[0]
+        );
+        assert!(
+            !m.code[1].contains("SystemTime"),
+            "raw byte string blanked: {:?}",
+            m.code[1]
+        );
+        assert!(
+            !m.code[2].contains("xff"),
+            "byte char blanked: {:?}",
+            m.code[2]
+        );
         assert!(m.code[3].contains("let d"), "line numbers exact");
         for (line, raw) in m.code.iter().zip(src.lines()) {
-            assert_eq!(line.chars().count(), raw.chars().count(), "1:1 char mapping");
+            assert_eq!(
+                line.chars().count(),
+                raw.chars().count(),
+                "1:1 char mapping"
+            );
         }
     }
 
@@ -389,7 +419,10 @@ mod tests {
         let m = model(src);
         assert_eq!(m.code.len(), 3);
         assert!(!m.code[1].contains("HashMap"), "string interior blanked");
-        assert!(m.code[2].contains("HashMap::new"), "code after the close survives");
+        assert!(
+            m.code[2].contains("HashMap::new"),
+            "code after the close survives"
+        );
     }
 
     #[test]
@@ -403,7 +436,8 @@ mod tests {
 
     #[test]
     fn hotpath_fences() {
-        let src = "fn a() {}\n// simlint: hotpath(begin)\nfn b() {}\n// simlint: hotpath(end)\nfn c() {}";
+        let src =
+            "fn a() {}\n// simlint: hotpath(begin)\nfn b() {}\n// simlint: hotpath(end)\nfn c() {}";
         let m = model(src);
         assert!(!m.hotpath[0]);
         assert!(m.hotpath[2]);
@@ -423,6 +457,10 @@ mod tests {
     fn token_boundaries() {
         assert!(find_token("DetHashMap<u64, u32>", "HashMap").is_none());
         assert!(find_token("HashMap::new()", "HashMap").is_some());
-        assert!(find_token("std::collections::HashMap<K, V>", "std::collections::HashMap").is_some());
+        assert!(find_token(
+            "std::collections::HashMap<K, V>",
+            "std::collections::HashMap"
+        )
+        .is_some());
     }
 }

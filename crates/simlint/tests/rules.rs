@@ -288,7 +288,11 @@ fn s1_fires_on_unplumbed_fields_at_definition_lines() {
 #[test]
 fn s1_respects_allow() {
     let (report, _) = lint_fixture_tree(&[("s1_allowed.rs", "crates/x/src/lib.rs")]);
-    assert!(report.findings.is_empty(), "allowlisted: {:?}", report.findings);
+    assert!(
+        report.findings.is_empty(),
+        "allowlisted: {:?}",
+        report.findings
+    );
 }
 
 #[test]
@@ -315,7 +319,11 @@ fn h3_fires_on_transitive_alloc_with_chain_named() {
 #[test]
 fn h3_respects_allow_at_call_site() {
     let (report, _) = lint_fixture_tree(&[("h3_allowed.rs", "crates/x/src/lib.rs")]);
-    assert!(report.findings.is_empty(), "allowlisted: {:?}", report.findings);
+    assert!(
+        report.findings.is_empty(),
+        "allowlisted: {:?}",
+        report.findings
+    );
 }
 
 #[test]
@@ -361,7 +369,11 @@ fn d7_fires_on_non_literal_label() {
 #[test]
 fn d7_respects_allow_and_registers_literals() {
     let (report, _) = lint_fixture_tree(&[("d7_allowed.rs", "crates/x/src/lib.rs")]);
-    assert!(report.findings.is_empty(), "allowlisted: {:?}", report.findings);
+    assert!(
+        report.findings.is_empty(),
+        "allowlisted: {:?}",
+        report.findings
+    );
     assert_eq!(report.rng_streams.len(), 1);
     assert_eq!(report.rng_streams[0].label, "arrivals");
 }

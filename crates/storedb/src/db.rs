@@ -185,7 +185,8 @@ mod tests {
         let mut db = Database::new();
         db.create_table(Schema::new("products", &["category", "price"]).index_on("category"))
             .expect("fresh");
-        db.create_table(Schema::new("users", &["name"])).expect("fresh");
+        db.create_table(Schema::new("users", &["name"]))
+            .expect("fresh");
         for i in 0..40u64 {
             db.insert(
                 "products",

@@ -121,7 +121,8 @@ fn fork_at_trigger_matches_straight_runs() {
         let forked = harness.verdict(&plan, &harness.probe(&plan));
         let straight = harness.verdict(&plan, &harness.probe_straight(&plan));
         assert_eq!(
-            forked.violated, straight.violated,
+            forked.violated,
+            straight.violated,
             "plan {index}: forked probe violated {:?}, straight run {:?}\nplan:\n{}",
             forked.violated,
             straight.violated,

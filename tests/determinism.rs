@@ -145,9 +145,8 @@ fn faulted_run_same_seed_bitwise_identical() {
                 0.3,
                 SimDuration::from_micros(200),
             );
-        lab.engine_params.resilience = Some(
-            ResilienceParams::default().with_timeout(SimDuration::from_millis(10)),
-        );
+        lab.engine_params.resilience =
+            Some(ResilienceParams::default().with_timeout(SimDuration::from_millis(10)));
         let store = TeaStore::with_demand_scale(0.25);
         let replicas = tuner::proportional_replicas(store.app(), 12);
         let report = lab.run_policy(&store, Policy::Unpinned, &replicas);

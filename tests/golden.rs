@@ -114,10 +114,16 @@ fn check(ids: &[&str]) {
         let golden = GOLDEN.iter().find(|(g, _)| g == id).map(|(_, h)| *h);
         let hash = fnv1a(seq);
         if Some(hash) != golden {
-            drifted.push(format!("(\"{id}\", {hash:#018x}), was {golden:#018x?}:\n{seq}"));
+            drifted.push(format!(
+                "(\"{id}\", {hash:#018x}), was {golden:#018x?}:\n{seq}"
+            ));
         }
     }
-    assert!(drifted.is_empty(), "fingerprints drifted:\n{}", drifted.join("\n"));
+    assert!(
+        drifted.is_empty(),
+        "fingerprints drifted:\n{}",
+        drifted.join("\n")
+    );
 }
 
 #[test]
@@ -187,8 +193,15 @@ fn warm_start_and_chaos_are_deterministic_at_any_worker_count() {
 #[test]
 fn goldens_cover_the_registry_and_only_lint_is_unpinned() {
     let pinned: Vec<&str> = GOLDEN.iter().map(|(id, _)| *id).collect();
-    let registry: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).filter(|&id| id != "lint").collect();
-    assert_eq!(pinned, registry, "every registry entry but lint needs a golden hash");
+    let registry: Vec<&str> = EXPERIMENTS
+        .iter()
+        .map(|e| e.id)
+        .filter(|&id| id != "lint")
+        .collect();
+    assert_eq!(
+        pinned, registry,
+        "every registry entry but lint needs a golden hash"
+    );
     let lint = find("lint").expect("lint is registered");
     assert!(
         (lint.run)(&Config::quick(42)).fingerprint.is_none(),

@@ -66,9 +66,30 @@ fn shards_1_is_the_legacy_engine_byte_for_byte() {
 /// runs route through the same sharded cells, so the crash/restart events
 /// must land identically at every shard count.
 const SHARDED_GOLDENS: &[(u32, u64, u64, u64, u64, u64)] = &[
-    (2, 0xc8bc_4dc2_44ab_c544, 0xfe6a_cb2e_8c29_1809, 0x4c65_0bd7_8e92_0c2c, 0xde07_0902_30d6_7508, 0x8aa8_f4bf_1580_ca88),
-    (4, 0x4d32_7a4f_873c_486a, 0x465c_1968_a117_89e8, 0x7280_de87_3bf0_84c1, 0x82cb_bf32_193d_703d, 0x5e5f_a7aa_8e28_9d82),
-    (8, 0xd077_51e7_b919_ee0d, 0x49b8_3055_293c_4425, 0xae74_cadf_7bce_e756, 0xe673_5a30_996a_b3aa, 0x6a3d_9a32_5f1b_62ff),
+    (
+        2,
+        0xc8bc_4dc2_44ab_c544,
+        0xfe6a_cb2e_8c29_1809,
+        0x4c65_0bd7_8e92_0c2c,
+        0xde07_0902_30d6_7508,
+        0x8aa8_f4bf_1580_ca88,
+    ),
+    (
+        4,
+        0x4d32_7a4f_873c_486a,
+        0x465c_1968_a117_89e8,
+        0x7280_de87_3bf0_84c1,
+        0x82cb_bf32_193d_703d,
+        0x5e5f_a7aa_8e28_9d82,
+    ),
+    (
+        8,
+        0xd077_51e7_b919_ee0d,
+        0x49b8_3055_293c_4425,
+        0xae74_cadf_7bce_e756,
+        0xe673_5a30_996a_b3aa,
+        0x6a3d_9a32_5f1b_62ff,
+    ),
 ];
 
 fn battery(shards: u32, e3: u64, e8: u64, e18: u64, e19: u64, e22: u64) {
@@ -132,8 +153,7 @@ fn sharded_checkpoint_roundtrip_is_invisible() {
     let config = sharded_config(2, 0);
     let app = config.store.app();
     let replicas = config.baseline_replicas();
-    let placed =
-        scaleup::placement::Policy::Unpinned.deploy(app, &config.lab.topo, &replicas);
+    let placed = scaleup::placement::Policy::Unpinned.deploy(app, &config.lab.topo, &replicas);
     let straight = config
         .lab
         .run_app(app, placed.deployment.clone(), placed.lb);
@@ -254,9 +274,7 @@ mod lookahead_props {
 mod rollback {
     use super::*;
     use loadgen::ClosedLoop;
-    use microsvc::{
-        mix_seed, Deployment, Engine, EngineParams, ShardSpec, ShardedRun, SyncStats,
-    };
+    use microsvc::{mix_seed, Deployment, Engine, EngineParams, ShardSpec, ShardedRun, SyncStats};
     use simcore::snap::fnv64;
     use simcore::{SimTime, SnapError, SnapReader, SnapWriter};
     use std::sync::Arc;
@@ -336,8 +354,14 @@ mod rollback {
             spec_stats.rollbacks > 0,
             "no rollbacks under heavy cross-traffic — speculation never engaged: {spec_stats:?}"
         );
-        assert!(spec_stats.replayed_events > 0, "rollbacks discarded no events");
-        assert_eq!(base_stats.rollbacks, 0, "conservative path must never roll back");
+        assert!(
+            spec_stats.replayed_events > 0,
+            "rollbacks discarded no events"
+        );
+        assert_eq!(
+            base_stats.rollbacks, 0,
+            "conservative path must never roll back"
+        );
         assert!(
             spec_stats.barriers < base_stats.barriers,
             "speculation must elide barriers even while rolling back: {} vs {}",
@@ -368,9 +392,16 @@ mod rollback {
             .snap_restore(&mut SnapReader::new(&bytes).expect("valid envelope"))
             .expect("restores into identically built cells");
         resumed.run(SimTime::ZERO + UNTIL, 2);
-        assert_eq!(straight, footprint(&resumed), "checkpoint round-trip diverged");
+        assert_eq!(
+            straight,
+            footprint(&resumed),
+            "checkpoint round-trip diverged"
+        );
         let stats = resumed.sync_stats();
-        assert!(stats.rollbacks > 0, "the resumed half never rolled back: {stats:?}");
+        assert!(
+            stats.rollbacks > 0,
+            "the resumed half never rolled back: {stats:?}"
+        );
         assert!(stats.replayed_events > 0, "{stats:?}");
     }
 
@@ -433,7 +464,10 @@ mod rollback {
             if let Some((msg_at, src)) = first_pending_call(&bytes) {
                 break (bytes, msg_at, src);
             }
-            assert!(now < SimTime::ZERO + UNTIL, "no barrier held a pending call");
+            assert!(
+                now < SimTime::ZERO + UNTIL,
+                "no barrier held a pending call"
+            );
             now += run.spec().latency;
         };
         let restore = |at: usize, patch: &[u8]| {
@@ -445,15 +479,31 @@ mod rollback {
             let mut fresh = build(WindowPolicy::Conservative);
             fresh.snap_restore(&mut SnapReader::new(&patched).expect("resealed"))
         };
-        assert_eq!(restore(0, &[]), Ok(()), "the unpatched snapshot must restore");
+        assert_eq!(
+            restore(0, &[]),
+            Ok(()),
+            "the unpatched snapshot must restore"
+        );
         // Message layout: arrival (8), src (4), dst (4), seq (8), kind (1),
         // then a call's client (8).
         let dst = bytes[msg_at + 12..msg_at + 16].to_vec();
         let cases: [(&str, usize, Vec<u8>); 4] = [
-            ("source cell out of range", msg_at + 8, 4u32.to_le_bytes().to_vec()),
-            ("addressed to another cell", msg_at + 12, src.to_le_bytes().to_vec()),
+            (
+                "source cell out of range",
+                msg_at + 8,
+                4u32.to_le_bytes().to_vec(),
+            ),
+            (
+                "addressed to another cell",
+                msg_at + 12,
+                src.to_le_bytes().to_vec(),
+            ),
             ("sent by the restoring cell", msg_at + 8, dst),
-            ("client id wider than 32 bits", msg_at + 25, (1u64 << 32).to_le_bytes().to_vec()),
+            (
+                "client id wider than 32 bits",
+                msg_at + 25,
+                (1u64 << 32).to_le_bytes().to_vec(),
+            ),
         ];
         for (what, at, patch) in &cases {
             let got = restore(*at, patch);
