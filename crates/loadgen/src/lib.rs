@@ -96,13 +96,13 @@ static NEXT_POINT: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug, Clone, Default)]
 struct UserTable {
     /// Bucket width in ns; 0 = exact mode, where the table stays empty.
-    grain_ns: u64, // simlint: allow(S1) — config, fixed at construction
+    grain_ns: u64,
     /// Offset of a parked user's deadline inside its bucket,
     /// `deadline − (key − 1)·grain` in `1..=grain`; index is the id.
     /// Stale for a user that is not parked.
     pos: Vec<u32>,
     /// The next user of the same bucket, or [`NIL`]; index is the id.
-    next: Vec<u32>, // simlint: allow(S1) — saved as the buckets' id lists, walked by `wake_keys`
+    next: Vec<u32>,
     /// Bucket key (`fire_ns / grain_ns`) → first user of its list.
     /// Deterministically hashed so the capacity — and with it the reported
     /// footprint — is identical on every run.
@@ -112,7 +112,7 @@ struct UserTable {
     parked: usize,
     /// The latest rollback point and the undo entries since. Written by a
     /// bare `snap_save`, which takes `&self`, hence the `RefCell`.
-    journal: RefCell<Journal>, // simlint: allow(S1) — rollback-point scratch: a durable snapshot carries the state it would restore, and a durable restore retires the point
+    journal: RefCell<Journal>,
 }
 
 /// The latest rollback point of a [`UserTable`] and how to get back to it.
@@ -343,10 +343,20 @@ impl UserTable {
     /// The deadline column and every bucket go through the bulk slice
     /// codecs.
     fn snap_save(&self, w: &mut SnapWriter) {
-        let grain_ns = self.grain_ns;
-        let mut buckets: Vec<(u64, u32)> = self.heads.iter().map(|(&k, &h)| (k, h)).collect();
+        let Self {
+            grain_ns,
+            pos,
+            next: _, // saved as the buckets' id lists, walked by `wake_keys`
+            heads,
+            high_water,
+            parked,
+            // Rollback-point scratch: a durable snapshot carries the state
+            // it would restore, and a durable restore retires the point.
+            journal: _,
+        } = self;
+        let mut buckets: Vec<(u64, u32)> = heads.iter().map(|(&k, &h)| (k, h)).collect();
         buckets.sort_unstable();
-        let mut deadlines = vec![0; self.pos.len()];
+        let mut deadlines = vec![0; pos.len()];
         let mut woken = Vec::new();
         for &(key, head) in &buckets {
             woken.clear();
@@ -368,8 +378,8 @@ impl UserTable {
             w.u32s_iter(woken.len(), woken.iter().map(|&k| k as u32));
         }
         w.usize(0);
-        w.usize(self.high_water);
-        w.usize(self.parked);
+        w.usize(*high_water);
+        w.usize(*parked);
     }
 
     /// Rebuilds the table of a `users`-user loop with bucket width
@@ -477,10 +487,10 @@ impl UserTable {
 #[derive(Debug, Clone)]
 pub struct ClosedLoop {
     users: u64,
-    think_mean: SimDuration, // simlint: allow(S1) — config, fixed at construction
-    warmup: SimDuration,     // simlint: allow(S1) — config, fixed at construction
-    measure: Option<SimDuration>, // simlint: allow(S1) — config, fixed at construction
-    mix: Vec<f64>,           // simlint: allow(S1) — config, fixed at construction
+    think_mean: SimDuration,
+    warmup: SimDuration,
+    measure: Option<SimDuration>,
+    mix: Vec<f64>,
     issued: u64,
     completed: u64,
     errors: u64,
@@ -636,17 +646,29 @@ impl ClosedLoop {
     /// O(population); the buffer obeys the rollback-point contract on
     /// [`SnapWriter::bare`].
     pub fn snap_save(&self, w: &mut SnapWriter) {
+        let Self {
+            users,
+            think_mean: _, // config, fixed at construction
+            warmup: _,     // config, fixed at construction
+            measure: _,    // config, fixed at construction
+            mix: _,        // config, fixed at construction
+            issued,
+            completed,
+            errors,
+            measuring,
+            table,
+        } = self;
         w.section("closed-loop");
-        w.u64(self.users);
+        w.u64(*users);
         w.bool(self.coalesced());
-        w.u64(self.issued);
-        w.u64(self.completed);
-        w.u64(self.errors);
-        w.bool(self.measuring);
+        w.u64(*issued);
+        w.u64(*completed);
+        w.u64(*errors);
+        w.bool(*measuring);
         if w.is_bare() {
-            self.table.mark(w);
+            table.mark(w);
         } else {
-            self.table.snap_save(w);
+            table.snap_save(w);
         }
     }
 
@@ -670,16 +692,25 @@ impl ClosedLoop {
                 },
             )));
         }
-        let (issued, completed, errors, measuring) = (r.u64()?, r.u64()?, r.u64()?, r.bool()?);
+        let counts = (r.u64()?, r.u64()?, r.u64()?, r.bool()?);
+        let Self {
+            users: _, // checked above
+            think_mean: _,
+            warmup: _,
+            measure: _,
+            mix: _,
+            issued,
+            completed,
+            errors,
+            measuring,
+            table,
+        } = self;
         if r.is_bare() {
-            self.table.rollback(r.u64()?, users)?;
+            table.rollback(r.u64()?, users)?;
         } else {
-            self.table = UserTable::snap_load(r, users, self.table.grain_ns)?;
+            *table = UserTable::snap_load(r, users, table.grain_ns)?;
         }
-        self.issued = issued;
-        self.completed = completed;
-        self.errors = errors;
-        self.measuring = measuring;
+        (*issued, *completed, *errors, *measuring) = counts;
         Ok(())
     }
 
@@ -764,10 +795,10 @@ impl microsvc::SnapDriver for ClosedLoop {
 /// Poisson arrivals at a fixed rate, independent of completions.
 #[derive(Debug, Clone)]
 pub struct OpenLoop {
-    rate_rps: f64,                // simlint: allow(S1) — config, fixed at construction
-    warmup: SimDuration,          // simlint: allow(S1) — config, fixed at construction
-    measure: Option<SimDuration>, // simlint: allow(S1) — config, fixed at construction
-    mix: Vec<f64>,                // simlint: allow(S1) — config, fixed at construction
+    rate_rps: f64,
+    warmup: SimDuration,
+    measure: Option<SimDuration>,
+    mix: Vec<f64>,
     next_client: u64,
     completed: u64,
 }
@@ -821,17 +852,33 @@ impl OpenLoop {
 
     /// Serializes the loop's run-time state; see [`ClosedLoop::snap_save`].
     pub fn snap_save(&self, w: &mut SnapWriter) {
+        let Self {
+            rate_rps: _, // config, fixed at construction
+            warmup: _,   // config, fixed at construction
+            measure: _,  // config, fixed at construction
+            mix: _,      // config, fixed at construction
+            next_client,
+            completed,
+        } = self;
         w.section("open-loop");
-        w.u64(self.next_client);
-        w.u64(self.completed);
+        w.u64(*next_client);
+        w.u64(*completed);
     }
 
     /// Restores state captured by [`OpenLoop::snap_save`] into an
     /// identically configured loop.
     pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Self {
+            rate_rps: _,
+            warmup: _,
+            measure: _,
+            mix: _,
+            next_client,
+            completed,
+        } = self;
         r.section("open-loop")?;
-        self.next_client = r.u64()?;
-        self.completed = r.u64()?;
+        *next_client = r.u64()?;
+        *completed = r.u64()?;
         Ok(())
     }
 
@@ -844,6 +891,8 @@ impl OpenLoop {
 
 impl Driver for OpenLoop {
     fn start(&mut self, ctx: &mut dyn EngineCtx) {
+        // A reused loop counts each run, and numbers its clients, from zero.
+        (self.next_client, self.completed) = (0, 0);
         ctx.set_timer(self.warmup, TOKEN_WARMUP);
         if let Some(measure) = self.measure {
             ctx.set_timer(self.warmup + measure, TOKEN_STOP);
@@ -1370,6 +1419,26 @@ mod tests {
             let mut once = fresh();
             engine(300.0, 2, 8, seed).run(&mut once, SimTime::from_secs(30));
             assert_eq!(counts(&load), counts(&once), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_reused_open_loop_counts_like_a_fresh_one() {
+        let fresh = || {
+            OpenLoop::new(2_000.0)
+                .warmup(SimDuration::from_millis(50))
+                .measure(SimDuration::from_millis(150))
+        };
+        let mut load = fresh();
+        for seed in [21, 22] {
+            engine(300.0, 2, 8, seed).run(&mut load, SimTime::from_secs(30));
+            let mut once = fresh();
+            engine(300.0, 2, 8, seed).run(&mut once, SimTime::from_secs(30));
+            assert_eq!(
+                (load.completed(), load.next_client),
+                (once.completed(), once.next_client),
+                "seed {seed}"
+            );
         }
     }
 

@@ -381,14 +381,14 @@ enum Admit {
 /// The simulation engine. See the [module docs](self) for the model.
 #[derive(Debug)]
 pub struct Engine {
-    topo: Arc<Topology>,     // simlint: allow(S1) — config, shared and immutable
-    params: EngineParams,    // simlint: allow(S1) — config, fixed at construction
-    app: AppSpec,            // simlint: allow(S1) — config, fixed at construction
-    classes: Vec<FlatClass>, // simlint: allow(S1) — derived from app at construction
+    topo: Arc<Topology>,
+    params: EngineParams,
+    app: AppSpec,
+    classes: Vec<FlatClass>,
     cal: Calendar<Event>,
     sched: Scheduler,
     instances: Vec<Instance>,
-    per_service_instances: Vec<Vec<usize>>, // simlint: allow(S1) — derived from topo at construction
+    per_service_instances: Vec<Vec<usize>>,
     balancers: Vec<Balancer>,
     workers: Vec<Worker>,
     jobs: Vec<Job>,
@@ -402,7 +402,7 @@ pub struct Engine {
     exec: Vec<Option<CpuExec>>,
     /// Per CPU, the instance whose worker `exec` runs there, or
     /// [`IDLE_CPU`]: the dense occupancy the contention scans read.
-    cpu_instance: Vec<u32>, // simlint: allow(S1) — derived from `exec`, rebuilt in snap_restore
+    cpu_instance: Vec<u32>,
     next_gen: u64,
     metrics: Metrics,
     sched_stats_baseline: SchedStats,
@@ -418,20 +418,20 @@ pub struct Engine {
     /// (every breaker helper is then a no-op).
     breakers: Vec<CircuitBreaker>,
     /// Per-service call timeout; empty when resilience is disabled.
-    timeouts: Vec<SimDuration>, // simlint: allow(S1) — config, fixed at construction
+    timeouts: Vec<SimDuration>,
     /// Faults, resilience, or overload control are configured: load
     /// balancing must consult instance availability. `false` keeps the
     /// legacy fast paths.
-    fault_aware: bool, // simlint: allow(S1) — derived from config at construction
+    fault_aware: bool,
     /// Overload-control state; `None` when the feature is off.
     overload: Option<OverloadState>,
-    cycles_per_us: f64, // simlint: allow(S1) — config, fixed at construction
+    cycles_per_us: f64,
     stop_requested: bool,
     tracer: Tracer,
     /// Quantized machine-occupancy bucket driving the boost multiplier.
     boost_bucket: u32,
     /// Reusable buffer for load-balancer candidate lists.
-    cand_scratch: Vec<Candidate>, // simlint: allow(S1) — scratch, always drained
+    cand_scratch: Vec<Candidate>,
     /// Events handled by [`run`](Self::run) so far (self-benchmark metric).
     events_processed: u64,
 }
@@ -2252,69 +2252,127 @@ impl Engine {
     /// instance queues, job/request slabs, RNG positions, metrics, breakers,
     /// overload state, and the tracer.
     pub fn snap_save(&self, w: &mut SnapWriter) {
+        let Self {
+            topo: _,    // config, shared and immutable
+            params: _,  // config, fixed at construction
+            app: _,     // config, fixed at construction
+            classes: _, // derived from app at construction
+            cal,
+            sched,
+            instances,
+            per_service_instances: _, // derived from topo at construction
+            balancers,
+            workers,
+            jobs,
+            free_jobs,
+            requests,
+            free_requests,
+            submitted_total,
+            exec,
+            cpu_instance: _, // derived from `exec`, rebuilt in snap_restore
+            next_gen,
+            metrics,
+            sched_stats_baseline,
+            demand_rng,
+            driver_rng,
+            fault_rng,
+            resil_rng,
+            breakers,
+            timeouts: _,    // config, fixed at construction
+            fault_aware: _, // derived from config at construction
+            overload,
+            cycles_per_us: _, // config, fixed at construction
+            stop_requested,
+            tracer,
+            boost_bucket,
+            cand_scratch: _, // scratch, always drained
+            events_processed,
+        } = self;
         w.section("engine");
         w.u64(self.config_fingerprint());
-        self.cal.save(w);
-        self.sched.snap_save(w);
-        w.usize(self.instances.len());
-        for inst in &self.instances {
-            w.u32(inst.rep_cpu.0);
-            inst.idle_workers.save(w);
-            w.usize(inst.pending.len());
-            for &job in &inst.pending {
+        cal.save(w);
+        sched.snap_save(w);
+        w.usize(instances.len());
+        for inst in instances {
+            let Instance {
+                service: _,     // config, fixed at construction
+                working_set: _, // config, fixed at construction
+                mem_node: _,    // config, fixed at construction
+                rep_cpu,
+                idle_workers,
+                pending,
+                outstanding,
+                up,
+                demand_factor,
+            } = inst;
+            w.u32(rep_cpu.0);
+            idle_workers.save(w);
+            w.usize(pending.len());
+            for &job in pending {
                 w.u64(job);
             }
-            w.usize(inst.outstanding);
-            w.bool(inst.up);
-            w.f64(inst.demand_factor);
+            w.usize(*outstanding);
+            w.bool(*up);
+            w.f64(*demand_factor);
         }
-        w.usize(self.balancers.len());
-        for b in &self.balancers {
+        w.usize(balancers.len());
+        for b in balancers {
             b.snap_save(w);
         }
-        w.usize(self.workers.len());
-        for wk in &self.workers {
-            wk.job.save(w);
+        w.usize(workers.len());
+        // A worker's task and instance are fixed at construction.
+        for Worker {
+            task: _,
+            instance: _,
+            job,
+        } in workers
+        {
+            job.save(w);
         }
-        self.jobs.save(w);
-        self.free_jobs.save(w);
-        self.requests.save(w);
-        self.free_requests.save(w);
-        w.u64(self.submitted_total);
-        self.exec.save(w);
-        w.u64(self.next_gen);
-        self.metrics.snap_save(w);
-        let base = self.sched_stats_baseline;
-        w.u64(base.wakeups);
-        w.u64(base.context_switches);
-        w.u64(base.migrations);
-        w.u64(base.steals);
-        self.demand_rng.save(w);
-        self.driver_rng.save(w);
-        self.fault_rng.save(w);
-        self.resil_rng.save(w);
-        w.usize(self.breakers.len());
-        for brk in &self.breakers {
+        jobs.save(w);
+        free_jobs.save(w);
+        requests.save(w);
+        free_requests.save(w);
+        w.u64(*submitted_total);
+        exec.save(w);
+        w.u64(*next_gen);
+        metrics.snap_save(w);
+        sched_stats_baseline.save(w);
+        demand_rng.save(w);
+        driver_rng.save(w);
+        fault_rng.save(w);
+        resil_rng.save(w);
+        w.usize(breakers.len());
+        for brk in breakers {
             brk.snap_save(w);
         }
-        match &self.overload {
+        match overload {
             None => w.u8(0),
-            Some(ov) => {
+            // Everything but the limiters and budgets is config.
+            Some(OverloadState {
+                admission: _,
+                queue_deadline: _,
+                limiters,
+                limit_action: _,
+                budgets,
+                priority: _,
+                threads: _,
+            }) => {
                 w.u8(1);
-                w.usize(ov.limiters.len());
-                for lim in &ov.limiters {
+                w.usize(limiters.len());
+                for lim in limiters {
                     lim.snap_save(w);
                 }
-                w.usize(ov.budgets.len());
-                for budget in &ov.budgets {
+                w.usize(budgets.len());
+                for budget in budgets {
                     budget.snap_save(w);
                 }
             }
         }
-        w.bool(self.stop_requested);
-        self.tracer.snap_save(w);
-        w.u32(self.boost_bucket);
-        w.u64(self.events_processed);
+        w.bool(*stop_requested);
+        tracer.snap_save(w);
+        w.u32(*boost_bucket);
+        w.u64(*events_processed);
     }
 
     /// Restores state captured by [`Engine::snap_save`] into an engine built
@@ -2332,124 +2390,167 @@ impl Engine {
                  this engine is built from {own:#018x}"
             )));
         }
-        let cal = Calendar::<Event>::load(r)?;
-        self.sched.snap_restore(r)?;
-
-        struct InstState {
-            rep_cpu: u32,
-            idle_workers: Vec<usize>,
-            pending: VecDeque<u64>,
-            outstanding: usize,
-            up: bool,
-            demand_factor: f64,
-        }
+        // Each field is overwritten as it is read: on error the engine is
+        // discarded (see the method contract), so the shape checks can run
+        // at the end, and the hot slabs reload *in place*, keeping their
+        // allocations across the speculative-rollback path's many restores.
+        let Self {
+            topo,
+            params: _,  // config, fixed at construction
+            app: _,     // config, fixed at construction
+            classes: _, // derived from app at construction
+            cal,
+            sched,
+            instances,
+            per_service_instances: _, // derived from topo at construction
+            balancers,
+            workers,
+            jobs,
+            free_jobs,
+            requests,
+            free_requests,
+            submitted_total,
+            exec,
+            cpu_instance,
+            next_gen,
+            metrics,
+            sched_stats_baseline,
+            demand_rng,
+            driver_rng,
+            fault_rng,
+            resil_rng,
+            breakers,
+            timeouts: _,    // config, fixed at construction
+            fault_aware: _, // derived from config at construction
+            overload,
+            cycles_per_us: _, // config, fixed at construction
+            stop_requested,
+            tracer,
+            boost_bucket,
+            cand_scratch: _, // scratch, always drained
+            events_processed,
+        } = self;
+        *cal = Calendar::<Event>::load(r)?;
+        sched.snap_restore(r)?;
         let n_inst = r.usize()?;
-        if n_inst != self.instances.len() {
+        if n_inst != instances.len() {
             return Err(SnapError::Corrupt(format!(
                 "snapshot has {n_inst} instances, engine has {}",
-                self.instances.len()
+                instances.len()
             )));
         }
-        let num_cpus = self.topo.num_cpus();
-        let mut inst_states = Vec::with_capacity(n_inst);
-        for idx in 0..n_inst {
-            let rep_cpu = r.u32()?;
-            if rep_cpu as usize >= num_cpus {
-                return Err(SnapError::Corrupt(format!(
-                    "instance {idx} sits on cpu {rep_cpu}, machine has {num_cpus}"
-                )));
-            }
-            let idle_workers = Vec::<usize>::load(r)?;
-            let n_pending = r.usize()?;
-            let mut pending = VecDeque::with_capacity(n_pending);
-            for _ in 0..n_pending {
-                pending.push_back(r.u64()?);
-            }
-            inst_states.push(InstState {
+        let num_cpus = topo.num_cpus();
+        for (idx, inst) in instances.iter_mut().enumerate() {
+            let Instance {
+                service: _,     // config, fixed at construction
+                working_set: _, // config, fixed at construction
+                mem_node: _,    // config, fixed at construction
                 rep_cpu,
                 idle_workers,
                 pending,
-                outstanding: r.usize()?,
-                up: r.bool()?,
-                demand_factor: r.f64()?,
-            });
+                outstanding,
+                up,
+                demand_factor,
+            } = inst;
+            let cpu = r.u32()?;
+            if cpu as usize >= num_cpus {
+                return Err(SnapError::Corrupt(format!(
+                    "instance {idx} sits on cpu {cpu}, machine has {num_cpus}"
+                )));
+            }
+            *rep_cpu = CpuId(cpu);
+            *idle_workers = Vec::<usize>::load(r)?;
+            let n_pending = r.checked_len()?;
+            *pending = VecDeque::with_capacity(n_pending);
+            for _ in 0..n_pending {
+                pending.push_back(r.u64()?);
+            }
+            *outstanding = r.usize()?;
+            *up = r.bool()?;
+            *demand_factor = r.f64()?;
         }
         let n_bal = r.usize()?;
-        if n_bal != self.balancers.len() {
+        if n_bal != balancers.len() {
             return Err(SnapError::Corrupt(format!(
                 "snapshot has {n_bal} balancers, engine has {}",
-                self.balancers.len()
+                balancers.len()
             )));
         }
-        for b in &mut self.balancers {
+        for b in balancers.iter_mut() {
             b.snap_restore(r)?;
         }
         let n_workers = r.usize()?;
-        if n_workers != self.workers.len() {
+        if n_workers != workers.len() {
             return Err(SnapError::Corrupt(format!(
                 "snapshot has {n_workers} workers, engine has {}",
-                self.workers.len()
+                workers.len()
             )));
         }
-        let mut worker_jobs = Vec::with_capacity(n_workers);
-        for _ in 0..n_workers {
-            worker_jobs.push(Option::<u64>::load(r)?);
+        // A worker's task and instance are fixed at construction.
+        for Worker {
+            task: _,
+            instance: _,
+            job,
+        } in workers.iter_mut()
+        {
+            *job = Option::<u64>::load(r)?;
         }
-        // The hot slabs reload *in place* so their allocations survive the
-        // restore: the speculative-rollback path (`microsvc::shard`) restores
-        // the same engine once per rollback, and replacing these vectors
-        // would churn the allocator on every one. On error the engine is
-        // discarded (see the method contract), so committing them before the
-        // shape checks below is safe.
-        simcore::snap::load_vec_into(&mut self.jobs, r)?;
-        simcore::snap::load_vec_into(&mut self.free_jobs, r)?;
-        simcore::snap::load_vec_into(&mut self.requests, r)?;
-        simcore::snap::load_vec_into(&mut self.free_requests, r)?;
-        let submitted_total = r.u64()?;
-        let exec = Vec::<Option<CpuExec>>::load(r)?;
-        let next_gen = r.u64()?;
-        self.metrics.snap_restore(r)?;
-        let baseline = SchedStats {
-            wakeups: r.u64()?,
-            context_switches: r.u64()?,
-            migrations: r.u64()?,
-            steals: r.u64()?,
-        };
-        let demand_rng = Rng::load(r)?;
-        let driver_rng = Rng::load(r)?;
-        let fault_rng = Rng::load(r)?;
-        let resil_rng = Rng::load(r)?;
+        simcore::snap::load_vec_into(jobs, r)?;
+        simcore::snap::load_vec_into(free_jobs, r)?;
+        simcore::snap::load_vec_into(requests, r)?;
+        simcore::snap::load_vec_into(free_requests, r)?;
+        *submitted_total = r.u64()?;
+        *exec = Vec::<Option<CpuExec>>::load(r)?;
+        *next_gen = r.u64()?;
+        metrics.snap_restore(r)?;
+        *sched_stats_baseline = SchedStats::load(r)?;
+        *demand_rng = Rng::load(r)?;
+        *driver_rng = Rng::load(r)?;
+        *fault_rng = Rng::load(r)?;
+        *resil_rng = Rng::load(r)?;
         let n_brk = r.usize()?;
-        if n_brk != self.breakers.len() {
+        if n_brk != breakers.len() {
             return Err(SnapError::Corrupt(format!(
                 "snapshot has {n_brk} circuit breakers, engine has {}",
-                self.breakers.len()
+                breakers.len()
             )));
         }
-        for brk in &mut self.breakers {
+        for brk in breakers.iter_mut() {
             brk.snap_restore(r)?;
         }
-        match (r.u8()?, self.overload.as_mut()) {
+        match (r.u8()?, overload.as_mut()) {
             (0, None) => {}
-            (1, Some(ov)) => {
+            // Everything but the limiters and budgets is config.
+            (
+                1,
+                Some(OverloadState {
+                    admission: _,
+                    queue_deadline: _,
+                    limiters,
+                    limit_action: _,
+                    budgets,
+                    priority: _,
+                    threads: _,
+                }),
+            ) => {
                 let n_lim = r.usize()?;
-                if n_lim != ov.limiters.len() {
+                if n_lim != limiters.len() {
                     return Err(SnapError::Corrupt(format!(
                         "snapshot has {n_lim} AIMD limiters, engine has {}",
-                        ov.limiters.len()
+                        limiters.len()
                     )));
                 }
-                for lim in &mut ov.limiters {
+                for lim in limiters.iter_mut() {
                     lim.snap_restore(r)?;
                 }
                 let n_bud = r.usize()?;
-                if n_bud != ov.budgets.len() {
+                if n_bud != budgets.len() {
                     return Err(SnapError::Corrupt(format!(
                         "snapshot has {n_bud} retry budgets, engine has {}",
-                        ov.budgets.len()
+                        budgets.len()
                     )));
                 }
-                for budget in &mut ov.budgets {
+                for budget in budgets.iter_mut() {
                     budget.snap_restore(r)?;
                 }
             }
@@ -2471,33 +2572,33 @@ impl Engine {
                 )))
             }
         }
-        let stop_requested = r.bool()?;
-        self.tracer.snap_restore(r)?;
-        let boost_bucket = r.u32()?;
-        let events_processed = r.u64()?;
+        *stop_requested = r.bool()?;
+        tracer.snap_restore(r)?;
+        *boost_bucket = r.u32()?;
+        *events_processed = r.u64()?;
 
         // Cheap shape checks: every slab cross-reference must stay in range.
-        for (idx, st) in inst_states.iter().enumerate() {
-            if let Some(&bad) = st.idle_workers.iter().find(|&&wk| wk >= n_workers) {
+        for (idx, inst) in instances.iter().enumerate() {
+            if let Some(&bad) = inst.idle_workers.iter().find(|&&wk| wk >= n_workers) {
                 return Err(SnapError::Corrupt(format!(
                     "instance {idx} lists idle worker {bad}, engine has {n_workers}"
                 )));
             }
-            if let Some(&bad) = st.pending.iter().find(|&&j| j as usize >= self.jobs.len()) {
+            if let Some(&bad) = inst.pending.iter().find(|&&j| j as usize >= jobs.len()) {
                 return Err(SnapError::Corrupt(format!(
                     "instance {idx} queues job {bad}, slab holds {}",
-                    self.jobs.len()
+                    jobs.len()
                 )));
             }
         }
-        if let Some(bad) = worker_jobs
+        if let Some(bad) = workers
             .iter()
-            .flatten()
-            .find(|&&j| j as usize >= self.jobs.len())
+            .filter_map(|wk| wk.job)
+            .find(|&j| j as usize >= jobs.len())
         {
             return Err(SnapError::Corrupt(format!(
                 "a worker holds job {bad}, slab holds {}",
-                self.jobs.len()
+                jobs.len()
             )));
         }
         if exec.len() != num_cpus {
@@ -2518,7 +2619,7 @@ impl Engine {
                     e.worker
                 )));
             }
-            if worker_jobs[e.worker].is_none() {
+            if workers[e.worker].job.is_none() {
                 return Err(SnapError::Corrupt(format!(
                     "cpu {cpu} executes worker {}, which holds no job",
                     e.worker
@@ -2530,7 +2631,7 @@ impl Engine {
                     e.worker
                 )));
             }
-            if self.sched.running_on(CpuId(cpu as u32)) != Some(self.workers[e.worker].task) {
+            if sched.running_on(CpuId(cpu as u32)) != Some(workers[e.worker].task) {
                 return Err(SnapError::Corrupt(format!(
                     "cpu {cpu} executes worker {}, but the scheduler does not run its task there",
                     e.worker
@@ -2544,33 +2645,9 @@ impl Engine {
                 )));
             }
         }
-
-        self.cal = cal;
-        for (inst, st) in self.instances.iter_mut().zip(inst_states) {
-            inst.rep_cpu = CpuId(st.rep_cpu);
-            inst.idle_workers = st.idle_workers;
-            inst.pending = st.pending;
-            inst.outstanding = st.outstanding;
-            inst.up = st.up;
-            inst.demand_factor = st.demand_factor;
+        for (slot, e) in cpu_instance.iter_mut().zip(exec.iter()) {
+            *slot = e.map_or(IDLE_CPU, |e| workers[e.worker].instance as u32);
         }
-        for (wk, job) in self.workers.iter_mut().zip(worker_jobs) {
-            wk.job = job;
-        }
-        self.submitted_total = submitted_total;
-        for (slot, e) in self.cpu_instance.iter_mut().zip(&exec) {
-            *slot = e.map_or(IDLE_CPU, |e| self.workers[e.worker].instance as u32);
-        }
-        self.exec = exec;
-        self.next_gen = next_gen;
-        self.sched_stats_baseline = baseline;
-        self.demand_rng = demand_rng;
-        self.driver_rng = driver_rng;
-        self.fault_rng = fault_rng;
-        self.resil_rng = resil_rng;
-        self.stop_requested = stop_requested;
-        self.boost_bucket = boost_bucket;
-        self.events_processed = events_processed;
         Ok(())
     }
 
@@ -2793,99 +2870,41 @@ impl Snap for Phase {
     }
 }
 
-impl Snap for Job {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.request);
-        w.u32(self.class);
-        w.u32(self.node);
-        w.u32(self.instance);
-        self.parent.save(w);
-        self.phase.save(w);
-        self.pending.save(w);
-        w.u8(self.attempt);
-        w.u8(self.flags);
-        w.u8(self.refs);
-        w.f64(self.remaining_cycles);
-        self.enqueued_at.save(w);
-        self.span.save(w);
-        self.timeout_token.save(w);
-        self.worker.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Job {
-            request: r.u32()?,
-            class: r.u32()?,
-            node: r.u32()?,
-            instance: r.u32()?,
-            parent: Option::<u32>::load(r)?,
-            phase: Phase::load(r)?,
-            pending: u16::load(r)?,
-            attempt: r.u8()?,
-            flags: r.u8()?,
-            refs: r.u8()?,
-            remaining_cycles: r.f64()?,
-            enqueued_at: SimTime::load(r)?,
-            span: Option::<u32>::load(r)?,
-            timeout_token: Option::<EventToken>::load(r)?,
-            worker: Option::<u32>::load(r)?,
-        })
-    }
-}
-
-impl Snap for RequestInfo {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.id);
-        w.u64(self.client);
-        self.submitted_at.save(w);
-        w.u32(self.class);
-        w.u32(self.refs);
-        w.u8(self.flags);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RequestInfo {
-            id: r.u64()?,
-            client: r.u64()?,
-            submitted_at: SimTime::load(r)?,
-            class: r.u32()?,
-            refs: r.u32()?,
-            flags: r.u8()?,
-        })
-    }
-}
-
-impl Snap for CpuExec {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.worker);
-        w.f64(self.rate);
-        w.f64(self.wall_rate);
-        w.bool(self.ctx.smt_sibling_busy);
-        w.f64(self.ctx.ccx_pressure);
-        w.bool(self.ctx.numa_local);
-        self.since.save(w);
-        w.u64(self.gen);
-        self.done_token.save(w);
-        self.quantum_token.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CpuExec {
-            worker: r.usize()?,
-            rate: r.f64()?,
-            wall_rate: r.f64()?,
-            ctx: ExecContext {
-                smt_sibling_busy: r.bool()?,
-                ccx_pressure: r.f64()?,
-                numa_local: r.bool()?,
-            },
-            since: SimTime::load(r)?,
-            gen: r.u64()?,
-            done_token: EventToken::load(r)?,
-            quantum_token: EventToken::load(r)?,
-        })
-    }
-}
+simcore::snap_fields!(Job {
+    request,
+    class,
+    node,
+    instance,
+    parent,
+    phase,
+    pending,
+    attempt,
+    flags,
+    refs,
+    remaining_cycles,
+    enqueued_at,
+    span,
+    timeout_token,
+    worker,
+});
+simcore::snap_fields!(RequestInfo {
+    id,
+    client,
+    submitted_at,
+    class,
+    refs,
+    flags,
+});
+simcore::snap_fields!(CpuExec {
+    worker,
+    rate,
+    wall_rate,
+    ctx,
+    since,
+    gen,
+    done_token,
+    quantum_token,
+});
 
 // EngineCtx is how drivers see the engine.
 impl EngineCtx for Engine {

@@ -24,6 +24,8 @@ macro_rules! id_type {
                 write!(f, concat!($prefix, "{}"), self.0)
             }
         }
+
+        simcore::snap_fields!($name { 0 });
     };
 }
 

@@ -27,7 +27,7 @@ pub enum LbPolicy {
 /// Per-service balancer state.
 #[derive(Debug, Clone)]
 pub struct Balancer {
-    policy: LbPolicy, // simlint: allow(S1) — config, rebuilt from params
+    policy: LbPolicy,
     next: usize,
 }
 
@@ -154,14 +154,22 @@ impl Balancer {
 
     /// Serializes the rotation cursor (the policy is configuration).
     pub(crate) fn snap_save(&self, w: &mut simcore::SnapWriter) {
-        w.usize(self.next);
+        let Self {
+            policy: _, // config, rebuilt from params
+            next,
+        } = self;
+        w.usize(*next);
     }
 
     pub(crate) fn snap_restore(
         &mut self,
         r: &mut simcore::SnapReader<'_>,
     ) -> Result<(), simcore::SnapError> {
-        self.next = r.usize()?;
+        let Self {
+            policy: _, // config, rebuilt from params
+            next,
+        } = self;
+        *next = r.usize()?;
         Ok(())
     }
 }

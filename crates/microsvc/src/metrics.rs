@@ -331,128 +331,114 @@ impl Metrics {
     }
 }
 
-fn save_counters(c: &PerfCounters, w: &mut simcore::SnapWriter) {
-    w.u64(c.instructions);
-    w.u64(c.cycles);
-    w.u64(c.kernel_cycles);
-    w.u64(c.l2_misses);
-    w.u64(c.l3_misses);
-    w.u64(c.branch_mispredicts);
-    w.u64(c.frontend_stall_cycles);
-    w.u64(c.context_switches);
-    w.u64(c.migrations);
-}
-
-fn load_counters(r: &mut simcore::SnapReader<'_>) -> Result<PerfCounters, simcore::SnapError> {
-    let mut c = PerfCounters::new();
-    c.instructions = r.u64()?;
-    c.cycles = r.u64()?;
-    c.kernel_cycles = r.u64()?;
-    c.l2_misses = r.u64()?;
-    c.l3_misses = r.u64()?;
-    c.branch_mispredicts = r.u64()?;
-    c.frontend_stall_cycles = r.u64()?;
-    c.context_switches = r.u64()?;
-    c.migrations = r.u64()?;
-    Ok(c)
-}
+simcore::snap_fields!(ServiceMetrics {
+    busy,
+    counters,
+    jobs_completed,
+    queue_wait,
+    timeouts,
+    retries,
+    fallbacks,
+    breaker_opened,
+    breaker_closed,
+    policy_sheds,
+    deferred,
+    budget_denied,
+});
+simcore::snap_fields!(OverloadTotals {
+    shed_queue_full,
+    shed_queue_deadline,
+    shed_concurrency,
+    shed_priority,
+    deferred,
+    budget_denied,
+    requests_shed_policy,
+});
 
 impl Metrics {
     pub(crate) fn snap_save(&self, w: &mut simcore::SnapWriter) {
         use simcore::Snap;
+        let Self {
+            window_start,
+            completed,
+            latency,
+            latency_per_class,
+            per_service,
+            busy_cpus,
+            completed_series,
+            requests_timed_out,
+            requests_shed,
+            late_replies,
+            replies_dropped,
+            rejected_arrivals,
+            overload,
+            submitted_per_class,
+            failed_per_class,
+            completed_per_class_series,
+            queued_jobs,
+            queue_depth_series,
+        } = self;
         w.section("metrics");
-        self.window_start.save(w);
-        w.u64(self.completed);
-        self.latency.save(w);
-        self.latency_per_class.save(w);
-        w.usize(self.per_service.len());
-        for s in &self.per_service {
-            s.busy.save(w);
-            save_counters(&s.counters, w);
-            w.u64(s.jobs_completed);
-            s.queue_wait.save(w);
-            w.u64(s.timeouts);
-            w.u64(s.retries);
-            w.u64(s.fallbacks);
-            w.u64(s.breaker_opened);
-            w.u64(s.breaker_closed);
-            w.u64(s.policy_sheds);
-            w.u64(s.deferred);
-            w.u64(s.budget_denied);
-        }
-        self.busy_cpus.save(w);
-        self.completed_series.save(w);
-        w.u64(self.requests_timed_out);
-        w.u64(self.requests_shed);
-        w.u64(self.late_replies);
-        w.u64(self.replies_dropped);
-        w.u64(self.rejected_arrivals);
-        w.u64(self.overload.shed_queue_full);
-        w.u64(self.overload.shed_queue_deadline);
-        w.u64(self.overload.shed_concurrency);
-        w.u64(self.overload.shed_priority);
-        w.u64(self.overload.deferred);
-        w.u64(self.overload.budget_denied);
-        w.u64(self.overload.requests_shed_policy);
-        self.submitted_per_class.save(w);
-        self.failed_per_class.save(w);
-        self.completed_per_class_series.save(w);
-        w.u64(self.queued_jobs);
-        self.queue_depth_series.save(w);
+        window_start.save(w);
+        completed.save(w);
+        latency.save(w);
+        latency_per_class.save(w);
+        per_service.save(w);
+        busy_cpus.save(w);
+        completed_series.save(w);
+        requests_timed_out.save(w);
+        requests_shed.save(w);
+        late_replies.save(w);
+        replies_dropped.save(w);
+        rejected_arrivals.save(w);
+        overload.save(w);
+        submitted_per_class.save(w);
+        failed_per_class.save(w);
+        completed_per_class_series.save(w);
+        queued_jobs.save(w);
+        queue_depth_series.save(w);
     }
 
+    /// Restores [`Metrics::snap_save`] into metrics built for the same app,
+    /// rejecting a snapshot with another service count.
     pub(crate) fn snap_restore(
         &mut self,
         r: &mut simcore::SnapReader<'_>,
     ) -> Result<(), simcore::SnapError> {
         use simcore::{Snap, SnapError};
         r.section("metrics")?;
-        self.window_start = simcore::SimTime::load(r)?;
-        self.completed = r.u64()?;
-        self.latency = LogHistogram::load(r)?;
-        self.latency_per_class = Vec::load(r)?;
-        let nservices = r.usize()?;
-        if nservices != self.per_service.len() {
+        let window_start = Snap::load(r)?;
+        let completed = Snap::load(r)?;
+        let latency = Snap::load(r)?;
+        let latency_per_class = Snap::load(r)?;
+        let per_service: Vec<ServiceMetrics> = Snap::load(r)?;
+        if per_service.len() != self.per_service.len() {
             return Err(SnapError::Corrupt(format!(
-                "snapshot has {nservices} services, app has {}",
+                "snapshot has {} services, app has {}",
+                per_service.len(),
                 self.per_service.len()
             )));
         }
-        for s in &mut self.per_service {
-            s.busy = TimeWeighted::load(r)?;
-            s.counters = load_counters(r)?;
-            s.jobs_completed = r.u64()?;
-            s.queue_wait = LogHistogram::load(r)?;
-            s.timeouts = r.u64()?;
-            s.retries = r.u64()?;
-            s.fallbacks = r.u64()?;
-            s.breaker_opened = r.u64()?;
-            s.breaker_closed = r.u64()?;
-            s.policy_sheds = r.u64()?;
-            s.deferred = r.u64()?;
-            s.budget_denied = r.u64()?;
-        }
-        self.busy_cpus = TimeWeighted::load(r)?;
-        self.completed_series = TimeSeries::load(r)?;
-        self.requests_timed_out = r.u64()?;
-        self.requests_shed = r.u64()?;
-        self.late_replies = r.u64()?;
-        self.replies_dropped = r.u64()?;
-        self.rejected_arrivals = r.u64()?;
-        self.overload = OverloadTotals {
-            shed_queue_full: r.u64()?,
-            shed_queue_deadline: r.u64()?,
-            shed_concurrency: r.u64()?,
-            shed_priority: r.u64()?,
-            deferred: r.u64()?,
-            budget_denied: r.u64()?,
-            requests_shed_policy: r.u64()?,
+        *self = Metrics {
+            window_start,
+            completed,
+            latency,
+            latency_per_class,
+            per_service,
+            busy_cpus: Snap::load(r)?,
+            completed_series: Snap::load(r)?,
+            requests_timed_out: Snap::load(r)?,
+            requests_shed: Snap::load(r)?,
+            late_replies: Snap::load(r)?,
+            replies_dropped: Snap::load(r)?,
+            rejected_arrivals: Snap::load(r)?,
+            overload: Snap::load(r)?,
+            submitted_per_class: Snap::load(r)?,
+            failed_per_class: Snap::load(r)?,
+            completed_per_class_series: Snap::load(r)?,
+            queued_jobs: Snap::load(r)?,
+            queue_depth_series: Snap::load(r)?,
         };
-        self.submitted_per_class = Vec::load(r)?;
-        self.failed_per_class = Vec::load(r)?;
-        self.completed_per_class_series = Vec::load(r)?;
-        self.queued_jobs = r.u64()?;
-        self.queue_depth_series = TimeSeries::load(r)?;
         Ok(())
     }
 }

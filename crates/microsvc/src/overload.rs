@@ -130,7 +130,7 @@ impl RetryBudgetPolicy {
 /// Runtime state of one service's retry budget.
 #[derive(Debug, Clone)]
 pub struct RetryBudget {
-    policy: RetryBudgetPolicy, // simlint: allow(S1) — config, rebuilt from params
+    policy: RetryBudgetPolicy,
     tokens: f64,
 }
 
@@ -228,7 +228,7 @@ impl LimiterPolicy {
 /// Per-instance AIMD limiter state.
 #[derive(Debug, Clone)]
 pub struct AimdLimiter {
-    policy: LimiterPolicy, // simlint: allow(S1) — config, rebuilt from params
+    policy: LimiterPolicy,
     limit: f64,
     /// Learned no-load baseline (minimum sojourn seen), in nanoseconds.
     learned_baseline_ns: f64,
@@ -400,18 +400,23 @@ impl RetryBudget {
     /// Serializes the bucket level (the policy is configuration, rebuilt from
     /// params on restore).
     pub(crate) fn snap_save(&self, w: &mut SnapWriter) {
-        w.f64(self.tokens);
+        let Self {
+            policy: _, // config, rebuilt from params
+            tokens,
+        } = self;
+        w.f64(*tokens);
     }
 
     pub(crate) fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let tokens = r.f64()?;
-        if !tokens.is_finite() || tokens < 0.0 || tokens > self.policy.cap {
+        let level = r.f64()?;
+        let Self { policy, tokens } = self;
+        if !level.is_finite() || level < 0.0 || level > policy.cap {
             return Err(SnapError::Corrupt(format!(
-                "retry-budget level {tokens} is outside [0, {}]",
-                self.policy.cap
+                "retry-budget level {level} is outside [0, {}]",
+                policy.cap
             )));
         }
-        self.tokens = tokens;
+        *tokens = level;
         Ok(())
     }
 }
@@ -420,17 +425,27 @@ impl AimdLimiter {
     /// Serializes the control-loop state (the policy is configuration,
     /// rebuilt from params on restore).
     pub(crate) fn snap_save(&self, w: &mut SnapWriter) {
-        w.f64(self.limit);
-        w.f64(self.learned_baseline_ns);
+        let Self {
+            policy: _, // config, rebuilt from params
+            limit,
+            learned_baseline_ns,
+        } = self;
+        w.f64(*limit);
+        w.f64(*learned_baseline_ns);
     }
 
     pub(crate) fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let limit = r.f64()?;
+        let new_limit = r.f64()?;
         let learned = r.f64()?;
-        if !limit.is_finite() || !(self.policy.min..=self.policy.max).contains(&limit) {
+        let Self {
+            policy,
+            limit,
+            learned_baseline_ns,
+        } = self;
+        if !new_limit.is_finite() || !(policy.min..=policy.max).contains(&new_limit) {
             return Err(SnapError::Corrupt(format!(
-                "AIMD limit {limit} is outside [{}, {}]",
-                self.policy.min, self.policy.max
+                "AIMD limit {new_limit} is outside [{}, {}]",
+                policy.min, policy.max
             )));
         }
         if learned.is_nan() || learned < 0.0 {
@@ -438,8 +453,8 @@ impl AimdLimiter {
                 "learned baseline {learned}ns is not a valid sojourn"
             )));
         }
-        self.limit = limit;
-        self.learned_baseline_ns = learned;
+        *limit = new_limit;
+        *learned_baseline_ns = learned;
         Ok(())
     }
 }

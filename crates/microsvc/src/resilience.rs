@@ -114,7 +114,7 @@ pub enum Transition {
 /// an idle breaker costs nothing.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
-    policy: BreakerPolicy, // simlint: allow(S1) — config, rebuilt from params
+    policy: BreakerPolicy,
     state: BreakerState,
     consecutive_failures: u32,
     open_until: SimTime,
@@ -215,18 +215,25 @@ impl CircuitBreaker {
     /// Serializes the state machine (the policy is configuration, rebuilt
     /// from params on restore).
     pub(crate) fn snap_save(&self, w: &mut SnapWriter) {
-        w.u8(match self.state {
+        let Self {
+            policy: _, // config, rebuilt from params
+            state,
+            consecutive_failures,
+            open_until,
+            probes_in_flight,
+        } = self;
+        w.u8(match state {
             BreakerState::Closed => 0,
             BreakerState::Open => 1,
             BreakerState::HalfOpen => 2,
         });
-        w.u32(self.consecutive_failures);
-        self.open_until.save(w);
-        w.u32(self.probes_in_flight);
+        w.u32(*consecutive_failures);
+        open_until.save(w);
+        w.u32(*probes_in_flight);
     }
 
     pub(crate) fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let state = match r.u8()? {
+        let new_state = match r.u8()? {
             0 => BreakerState::Closed,
             1 => BreakerState::Open,
             2 => BreakerState::HalfOpen,
@@ -236,19 +243,26 @@ impl CircuitBreaker {
                 )))
             }
         };
-        let consecutive_failures = r.u32()?;
-        let open_until = SimTime::load(r)?;
-        let probes_in_flight = r.u32()?;
-        if probes_in_flight > self.policy.half_open_probes {
+        let failures = r.u32()?;
+        let until = SimTime::load(r)?;
+        let probes = r.u32()?;
+        let Self {
+            policy,
+            state,
+            consecutive_failures,
+            open_until,
+            probes_in_flight,
+        } = self;
+        if probes > policy.half_open_probes {
             return Err(SnapError::Corrupt(format!(
-                "{probes_in_flight} probes in flight, policy admits {}",
-                self.policy.half_open_probes
+                "{probes} probes in flight, policy admits {}",
+                policy.half_open_probes
             )));
         }
-        self.state = state;
-        self.consecutive_failures = consecutive_failures;
-        self.open_until = open_until;
-        self.probes_in_flight = probes_in_flight;
+        *state = new_state;
+        *consecutive_failures = failures;
+        *open_until = until;
+        *probes_in_flight = probes;
         Ok(())
     }
 }

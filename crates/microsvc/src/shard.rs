@@ -683,8 +683,8 @@ pub struct ShardedRun<D> {
     started: bool,
     /// Window-synchronization policy; not part of the run's identity (any
     /// policy yields byte-identical results), so not snapshotted.
-    policy: WindowPolicy, // simlint: allow(S1) — see above: not run identity
-    stats: SyncStats, // simlint: allow(S1) — observability counters, not run identity
+    policy: WindowPolicy,
+    stats: SyncStats,
 }
 
 impl<D: Driver + Send> ShardedRun<D> {
@@ -1050,15 +1050,23 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
     /// Must be called between [`ShardedRun::run`] calls — outboxes are
     /// drained at every barrier, which the snapshot asserts.
     pub fn snap_save(&self, w: &mut SnapWriter) {
+        let Self {
+            cells,
+            spec,
+            window_end,
+            started,
+            policy: _, // not run identity, see above
+            stats: _,  // observability counters, not run identity
+        } = self;
         w.section("sharded-run");
-        w.u32(self.spec.cells);
-        w.u32(self.spec.cross_permille);
-        w.u64(self.spec.latency.as_nanos());
-        w.u64(self.window_end.as_nanos());
-        w.bool(self.started);
+        w.u32(spec.cells);
+        w.u32(spec.cross_permille);
+        w.u64(spec.latency.as_nanos());
+        w.u64(window_end.as_nanos());
+        w.bool(*started);
         let mut pending_scratch = Vec::new();
         let mut client_scratch = Vec::new();
-        for cell in &self.cells {
+        for cell in cells {
             cell.engine.snap_save(w);
             cell.driver.inner.driver_snap_save(w);
             save_shard_state(
@@ -1074,23 +1082,28 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
     /// identically constructed `ShardedRun` (same spec, same engine and
     /// driver builders).
     pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Self {
+            cells,
+            spec,
+            window_end,
+            started,
+            policy: _, // not run identity, see above
+            stats: _,  // observability counters, not run identity
+        } = self;
         r.section("sharded-run")?;
-        let cells = r.u32()?;
+        let n_cells = r.u32()?;
         let cross = r.u32()?;
         let latency = SimDuration::from_nanos(r.u64()?);
-        if cells != self.spec.cells
-            || cross != self.spec.cross_permille
-            || latency != self.spec.latency
-        {
+        if n_cells != spec.cells || cross != spec.cross_permille || latency != spec.latency {
             return Err(SnapError::Corrupt(format!(
-                "snapshot is of a {cells}-cell run (cross {cross}‰, window {latency}), \
+                "snapshot is of a {n_cells}-cell run (cross {cross}‰, window {latency}), \
                  this run has {} cells (cross {}‰, window {})",
-                self.spec.cells, self.spec.cross_permille, self.spec.latency
+                spec.cells, spec.cross_permille, spec.latency
             )));
         }
-        self.window_end = SimTime::from_nanos(r.u64()?);
-        self.started = r.bool()?;
-        for cell in &mut self.cells {
+        *window_end = SimTime::from_nanos(r.u64()?);
+        *started = r.bool()?;
+        for cell in cells.iter_mut() {
             cell.engine.snap_restore(r)?;
             cell.driver.inner.driver_snap_restore(r)?;
             restore_shard_state(&mut cell.driver.st, r)?;

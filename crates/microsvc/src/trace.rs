@@ -341,9 +341,16 @@ impl Tracer {
     /// retained traces, and the in-flight index (sorted by request id for
     /// byte stability).
     pub(crate) fn snap_save(&self, w: &mut SnapWriter) {
+        let Self {
+            sample_every,
+            reservoir,
+            seen,
+            traces,
+            index,
+        } = self;
         w.section("tracer");
-        self.sample_every.save(w);
-        match &self.reservoir {
+        sample_every.save(w);
+        match reservoir {
             None => w.u8(0),
             Some((capacity, rng)) => {
                 w.u8(1);
@@ -351,14 +358,14 @@ impl Tracer {
                 rng.save(w);
             }
         }
-        w.u64(self.seen);
-        self.traces.save(w);
-        let mut keys: Vec<&u64> = self.index.keys().collect();
+        w.u64(*seen);
+        traces.save(w);
+        let mut keys: Vec<&u64> = index.keys().collect();
         keys.sort_unstable();
         w.usize(keys.len());
         for k in keys {
             w.u64(*k);
-            w.usize(self.index[k]);
+            w.usize(index[k]);
         }
     }
 
@@ -392,66 +399,38 @@ impl Tracer {
             }
             index.insert(key, slot);
         }
-        self.sample_every = sample_every;
-        self.reservoir = reservoir;
-        self.seen = seen;
-        self.traces = traces;
-        self.index = index;
+        *self = Tracer {
+            sample_every,
+            reservoir,
+            seen,
+            traces,
+            index,
+        };
         Ok(())
     }
 }
 
 use simcore::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for Span {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.service.0);
-        w.u32(self.instance.0);
-        w.u8(self.depth);
-        w.u8(self.attempt);
-        self.fault.save(w);
-        self.enqueued.save(w);
-        self.started.save(w);
-        self.finished.save(w);
-        self.cpu_time.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Span {
-            service: ServiceId(r.u32()?),
-            instance: InstanceId(r.u32()?),
-            depth: r.u8()?,
-            attempt: r.u8()?,
-            fault: Option::load(r)?,
-            enqueued: SimTime::load(r)?,
-            started: SimTime::load(r)?,
-            finished: SimTime::load(r)?,
-            cpu_time: SimDuration::load(r)?,
-        })
-    }
-}
-
-impl Snap for RequestTrace {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.request.0);
-        w.u32(self.class.0);
-        self.submitted.save(w);
-        self.completed.save(w);
-        self.fault.save(w);
-        self.spans.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RequestTrace {
-            request: RequestId(r.u64()?),
-            class: RequestClassId(r.u32()?),
-            submitted: SimTime::load(r)?,
-            completed: Option::load(r)?,
-            fault: Option::load(r)?,
-            spans: Vec::load(r)?,
-        })
-    }
-}
+simcore::snap_fields!(Span {
+    service,
+    instance,
+    depth,
+    attempt,
+    fault,
+    enqueued,
+    started,
+    finished,
+    cpu_time,
+});
+simcore::snap_fields!(RequestTrace {
+    request,
+    class,
+    submitted,
+    completed,
+    fault,
+    spans,
+});
 
 #[cfg(test)]
 mod tests {

@@ -148,12 +148,12 @@ impl BusyMasks {
 /// See the [crate docs](crate) for the driving contract.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
-    topo: Arc<Topology>, // simlint: allow(S1) — config, shared and immutable
-    params: SchedParams, // simlint: allow(S1) — config, fixed at construction
+    topo: Arc<Topology>,
+    params: SchedParams,
     tasks: Vec<Task>,
     runqueues: Vec<RunQueue>,
     running: Vec<Option<TaskId>>,
-    busy: BusyMasks, // simlint: allow(S1) — derived from `running`, rebuilt in snap_restore
+    busy: BusyMasks,
     /// Runnable-but-queued tasks across all runqueues, kept in sync with
     /// every push/pop/remove so idle paths (notably steals) can bail out in
     /// O(1) on an unqueued machine.
@@ -558,48 +558,76 @@ impl Scheduler {
     /// `Vec<u32>` (affinity), `Vec<(SimDuration, u64, u64)>` (runqueue) and
     /// `Vec<Option<u64>>` (running table) saves.
     pub fn snap_save(&self, w: &mut SnapWriter) {
+        let Self {
+            topo: _,   // config, shared and immutable
+            params: _, // config, fixed at construction
+            tasks,
+            runqueues,
+            running,
+            busy: _, // derived from `running`, rebuilt in snap_restore
+            queued_total,
+            stats,
+        } = self;
         w.section("scheduler");
-        w.usize(self.tasks.len());
-        for t in &self.tasks {
-            w.u8(match t.state {
+        w.usize(tasks.len());
+        for t in tasks {
+            let Task {
+                state,
+                affinity,
+                cpu,
+                last_cpu,
+                vruntime,
+            } = t;
+            w.u8(match state {
                 TaskState::Runnable => 0,
                 TaskState::Running => 1,
                 TaskState::Blocked => 2,
                 TaskState::Terminated => 3,
             });
-            w.u32s_iter(t.affinity.len(), t.affinity.iter().map(|c| c.0));
-            t.cpu.map(|c| c.0).save(w);
-            t.last_cpu.map(|c| c.0).save(w);
-            t.vruntime.save(w);
+            w.u32s_iter(affinity.len(), affinity.iter().map(|c| c.0));
+            cpu.map(|c| c.0).save(w);
+            last_cpu.map(|c| c.0).save(w);
+            vruntime.save(w);
         }
-        w.usize(self.runqueues.len());
-        for rq in &self.runqueues {
-            w.usize(rq.queue.len());
-            for &(vruntime, seq, task) in &rq.queue {
+        w.usize(runqueues.len());
+        for rq in runqueues {
+            let RunQueue {
+                queue,
+                next_arrival,
+            } = rq;
+            w.usize(queue.len());
+            for &(vruntime, seq, task) in queue {
                 vruntime.save(w);
                 w.u64(seq);
                 w.u64(task.0);
             }
-            w.u64(rq.next_arrival);
+            w.u64(*next_arrival);
         }
-        w.usize(self.running.len());
-        for t in &self.running {
+        w.usize(running.len());
+        for t in running {
             t.map(|t| t.0).save(w);
         }
-        w.usize(self.queued_total);
-        w.u64(self.stats.wakeups);
-        w.u64(self.stats.context_switches);
-        w.u64(self.stats.migrations);
-        w.u64(self.stats.steals);
+        w.usize(*queued_total);
+        stats.save(w);
     }
 
     /// Restores state captured by [`Scheduler::snap_save`] into a scheduler
     /// freshly built over the same topology and params.
     pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Self {
+            topo,
+            params: _, // config, fixed at construction
+            tasks,
+            runqueues,
+            running,
+            busy,
+            queued_total,
+            stats,
+        } = self;
         r.section("scheduler")?;
-        let ncpus = self.runqueues.len();
-        let ntasks = r.usize()?;
-        let mut tasks = Vec::with_capacity(ntasks.min(1 << 24));
+        let ncpus = runqueues.len();
+        let ntasks = r.checked_len()?;
+        let mut new_tasks = Vec::with_capacity(ntasks);
         for idx in 0..ntasks {
             let state = match r.u8()? {
                 0 => TaskState::Runnable,
@@ -611,7 +639,7 @@ impl Scheduler {
                 }
             };
             let ids = r.u32s_iter()?;
-            let affinity = match self.tasks.get(idx) {
+            let affinity = match tasks.get(idx) {
                 // Affinity rarely changes after spawn, so a restore into
                 // the same engine mostly finds it already in place.
                 Some(t) if t.affinity.iter().map(|c| c.0).eq(ids.clone()) => t.affinity.clone(),
@@ -620,7 +648,7 @@ impl Scheduler {
                     for cpu in ids.map(CpuId) {
                         // Checked before the insert: a corrupt id must not
                         // grow the bitmask to its size.
-                        if !self.topo.all_cpus().contains(cpu) {
+                        if !topo.all_cpus().contains(cpu) {
                             return Err(SnapError::Corrupt(
                                 "task affinity does not fit the machine".into(),
                             ));
@@ -633,13 +661,11 @@ impl Scheduler {
             if affinity.is_empty() {
                 return Err(SnapError::Corrupt("task affinity is empty".into()));
             }
-            let cpu = Option::<u32>::load(r)?.map(CpuId);
-            let last_cpu = Option::<u32>::load(r)?.map(CpuId);
-            tasks.push(Task {
+            new_tasks.push(Task {
                 state,
                 affinity,
-                cpu,
-                last_cpu,
+                cpu: Option::<u32>::load(r)?.map(CpuId),
+                last_cpu: Option::<u32>::load(r)?.map(CpuId),
                 vruntime: SimDuration::load(r)?,
             });
         }
@@ -649,13 +675,13 @@ impl Scheduler {
                 "snapshot has {nqueues} runqueues, machine has {ncpus} CPUs"
             )));
         }
-        let mut runqueues = Vec::with_capacity(ncpus);
+        let mut new_queues = Vec::with_capacity(ncpus);
         for _ in 0..ncpus {
             let mut queue = std::collections::BTreeSet::new();
             for _ in 0..r.usize()? {
                 queue.insert((SimDuration::load(r)?, r.u64()?, TaskId(r.u64()?)));
             }
-            runqueues.push(RunQueue {
+            new_queues.push(RunQueue {
                 queue,
                 next_arrival: r.u64()?,
             });
@@ -666,35 +692,37 @@ impl Scheduler {
                 "snapshot running table covers {nrunning} CPUs, machine has {ncpus}"
             )));
         }
-        let running = (0..ncpus)
+        let new_running = (0..ncpus)
             .map(|_| Ok(Option::<u64>::load(r)?.map(TaskId)))
             .collect::<Result<Vec<_>, SnapError>>()?;
-        for t in running.iter().flatten() {
-            if t.index() >= tasks.len() {
+        for t in new_running.iter().flatten() {
+            if t.index() >= new_tasks.len() {
                 return Err(SnapError::Corrupt(format!(
                     "running table names {t} beyond the task table"
                 )));
             }
         }
-        self.tasks = tasks;
-        self.runqueues = runqueues;
-        self.busy = BusyMasks::idle(ncpus);
-        for (i, t) in running.iter().enumerate() {
+        *tasks = new_tasks;
+        *runqueues = new_queues;
+        *busy = BusyMasks::idle(ncpus);
+        for (i, t) in new_running.iter().enumerate() {
             if t.is_some() {
-                self.busy.set(&self.topo, CpuId(i as u32), true);
+                busy.set(topo, CpuId(i as u32), true);
             }
         }
-        self.running = running;
-        self.queued_total = r.usize()?;
-        self.stats = SchedStats {
-            wakeups: r.u64()?,
-            context_switches: r.u64()?,
-            migrations: r.u64()?,
-            steals: r.u64()?,
-        };
+        *running = new_running;
+        *queued_total = r.usize()?;
+        *stats = SchedStats::load(r)?;
         Ok(())
     }
 }
+
+simcore::snap_fields!(SchedStats {
+    wakeups,
+    context_switches,
+    migrations,
+    steals,
+});
 
 #[cfg(test)]
 mod tests {

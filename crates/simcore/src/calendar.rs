@@ -201,9 +201,9 @@ impl Level {
 pub struct Calendar<E> {
     slab: Vec<Entry<E>>,
     free: Vec<u32>,
-    levels: Vec<Level>, // simlint: allow(S1) — rebuilt from the slab on load
+    levels: Vec<Level>,
     /// Events beyond the wheel horizon, min-ordered by (time, seq).
-    overflow: BinaryHeap<(Reverse<(u64, u64)>, u32)>, // simlint: allow(S1) — rebuilt from the slab on load
+    overflow: BinaryHeap<(Reverse<(u64, u64)>, u32)>,
     /// Entry indices with `at < base`, sorted descending by (at, seq) so the
     /// earliest event pops from the back.
     ready: Vec<u32>,
@@ -710,14 +710,7 @@ impl<E> Calendar<E> {
 
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for EventToken {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.0);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(EventToken(r.u64()?))
-    }
-}
+crate::snap_fields!(EventToken { 0 });
 
 /// The calendar serializes its slab *exactly* — entry order, generations,
 /// free list, and the sorted `ready` batch — so outstanding [`EventToken`]s
@@ -729,36 +722,56 @@ impl Snap for EventToken {
 /// and position bookkeeping is not written; `insert_wheel` re-derives it.
 impl<E: Snap> Snap for Calendar<E> {
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            slab,
+            free,
+            levels: _,   // rebuilt from the slab on load
+            overflow: _, // rebuilt from the slab on load
+            ready,
+            base,
+            next_seq,
+            live,
+            high_water,
+            now,
+        } = self;
         w.section("calendar");
-        w.u64(self.now.as_nanos());
-        w.u64(self.base);
-        w.u64(self.next_seq);
-        w.usize(self.live);
-        w.usize(self.high_water);
-        w.usize(self.slab.len());
-        for e in &self.slab {
-            w.u64(e.at);
-            w.u64(e.seq);
-            w.u32(e.gen);
-            w.bool(e.cancelled);
-            e.payload.save(w);
+        w.u64(now.as_nanos());
+        w.u64(*base);
+        w.u64(*next_seq);
+        w.usize(*live);
+        w.usize(*high_water);
+        w.usize(slab.len());
+        for e in slab {
+            let Entry {
+                at,
+                seq,
+                gen,
+                slot: _, // re-derived by `insert_wheel`
+                pos: _,  // re-derived by `insert_wheel`
+                cancelled,
+                payload,
+            } = e;
+            w.u64(*at);
+            w.u64(*seq);
+            w.u32(*gen);
+            w.bool(*cancelled);
+            payload.save(w);
         }
-        w.u32s(&self.free);
-        w.u32s(&self.ready);
+        w.u32s(free);
+        w.u32s(ready);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         r.section("calendar")?;
-        let mut cal = Calendar::new();
-        cal.now = SimTime::from_nanos(r.u64()?);
-        cal.base = r.u64()?;
-        cal.next_seq = r.u64()?;
-        cal.live = r.usize()?;
-        cal.high_water = r.usize()?;
-        let n = r.usize()?;
-        cal.slab = Vec::with_capacity(n);
+        let now = SimTime::from_nanos(r.u64()?);
+        let base = r.u64()?;
+        let next_seq = r.u64()?;
+        let live = r.usize()?;
+        let high_water = r.usize()?;
+        let n = r.checked_len()?;
+        let mut slab = Vec::with_capacity(n);
         for _ in 0..n {
-            cal.slab.push(Entry {
+            slab.push(Entry {
                 at: r.u64()?,
                 seq: r.u64()?,
                 gen: r.u32()?,
@@ -768,8 +781,18 @@ impl<E: Snap> Snap for Calendar<E> {
                 payload: Option::<E>::load(r)?,
             });
         }
-        cal.free = r.u32s()?;
-        cal.ready = r.u32s()?;
+        let mut cal = Calendar {
+            slab,
+            free: r.u32s()?,
+            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            overflow: BinaryHeap::new(),
+            ready: r.u32s()?,
+            base,
+            next_seq,
+            live,
+            high_water,
+            now,
+        };
         let mut in_wheel = vec![true; n];
         for &idx in cal.free.iter().chain(cal.ready.iter()) {
             let slot = in_wheel

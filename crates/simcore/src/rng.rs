@@ -228,7 +228,8 @@ use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 impl Snap for Rng {
     fn save(&self, w: &mut SnapWriter) {
-        for word in &self.s {
+        let Self { s } = self;
+        for word in s {
             w.u64(*word);
         }
     }

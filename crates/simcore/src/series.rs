@@ -265,12 +265,20 @@ impl Snap for Agg {
 
 impl Snap for TimeSeries {
     fn save(&self, w: &mut SnapWriter) {
-        self.window.save(w);
-        self.agg.save(w);
-        self.buckets.save(w);
-        self.origin.save(w);
-        w.bool(self.started);
-        w.usize(self.max_buckets);
+        let Self {
+            window,
+            agg,
+            buckets,
+            origin,
+            started,
+            max_buckets,
+        } = self;
+        window.save(w);
+        agg.save(w);
+        buckets.save(w);
+        origin.save(w);
+        w.bool(*started);
+        w.usize(*max_buckets);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {

@@ -509,66 +509,66 @@ impl RateMeter {
 
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for Welford {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.n);
-        w.f64(self.mean);
-        w.f64(self.m2);
-        w.f64(self.min);
-        w.f64(self.max);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Welford {
-            n: r.u64()?,
-            mean: r.f64()?,
-            m2: r.f64()?,
-            min: r.f64()?,
-            max: r.f64()?,
-        })
-    }
-}
+crate::snap_fields!(Welford {
+    n,
+    mean,
+    m2,
+    min,
+    max
+});
 
 impl Snap for LogHistogram {
     /// The dense layout: all `TIERS × ROW` counts, zeros where a tier has
     /// no row.
     fn save(&self, w: &mut SnapWriter) {
-        w.u64_rows(self.tier_row.iter().map(|&r| self.rows.get(usize::from(r))));
-        w.u64(self.total);
-        w.u128(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
+        let Self {
+            tier_row,
+            rows,
+            total,
+            sum,
+            min,
+            max,
+        } = self;
+        w.u64_rows(tier_row.iter().map(|&r| rows.get(usize::from(r))));
+        w.u64(*total);
+        w.u128(*sum);
+        w.u64(*min);
+        w.u64(*max);
     }
 
-    /// Rebuilds rows for the tiers with counts, and rejects counts that do
-    /// not add up to the total or disagree with `min`, `max` and `sum`.
+    /// Rebuilds rows for the tiers with counts, allocating exactly those,
+    /// and rejects counts that do not add up to the total or disagree with
+    /// `min`, `max` and `sum`.
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let corrupt = |what: String| Err(SnapError::Corrupt(format!("histogram {what}")));
-        let rows = r.u64_rows::<ROW>()?;
-        if rows.len() != TIERS {
+        let dense = r.u64_rows::<ROW>()?;
+        if dense.len() != TIERS {
             return corrupt(format!(
                 "has {} buckets, this build uses {}",
-                rows.len() * ROW,
+                dense.len() * ROW,
                 TIERS * ROW
             ));
         }
-        let mut h = LogHistogram::new();
-        h.rows.reserve_exact(TIERS);
+        let mut tier_row = [NO_ROW; TIERS];
+        let mut rows = Vec::with_capacity(dense.clone().flatten().count());
         let (mut counted, mut first, mut last) = (0u128, None, 0);
-        for (tier, row) in rows.enumerate() {
+        for (tier, row) in dense.enumerate() {
             let Some(row) = row else { continue };
             let at = |sub: Option<usize>| tier * ROW + sub.unwrap_or(0);
             first = first.or(Some(at(row.iter().position(|&c| c != 0))));
             last = at(row.iter().rposition(|&c| c != 0));
             counted += row.iter().map(|&c| u128::from(c)).sum::<u128>();
-            h.tier_row[tier] = h.rows.len() as u8;
-            h.rows.push(row);
+            tier_row[tier] = rows.len() as u8;
+            rows.push(row);
         }
-        h.rows.shrink_to_fit();
-        h.total = r.u64()?;
-        h.sum = r.u128()?;
-        h.min = r.u64()?;
-        h.max = r.u64()?;
+        let h = LogHistogram {
+            tier_row,
+            rows,
+            total: r.u64()?,
+            sum: r.u128()?,
+            min: r.u64()?,
+            max: r.u64()?,
+        };
         let (total, sum) = (u128::from(h.total), h.sum);
         if counted != total {
             return corrupt(format!("buckets hold {counted} values, total says {total}"));
@@ -592,39 +592,17 @@ impl Snap for LogHistogram {
     }
 }
 
-impl Snap for TimeWeighted {
-    fn save(&self, w: &mut SnapWriter) {
-        self.start.save(w);
-        self.last_change.save(w);
-        w.f64(self.level);
-        w.f64(self.integral);
-        w.f64(self.peak);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TimeWeighted {
-            start: SimTime::load(r)?,
-            last_change: SimTime::load(r)?,
-            level: r.f64()?,
-            integral: r.f64()?,
-            peak: r.f64()?,
-        })
-    }
-}
-
-impl Snap for RateMeter {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.count);
-        self.window_start.save(w);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RateMeter {
-            count: r.u64()?,
-            window_start: SimTime::load(r)?,
-        })
-    }
-}
+crate::snap_fields!(TimeWeighted {
+    start,
+    last_change,
+    level,
+    integral,
+    peak
+});
+crate::snap_fields!(RateMeter {
+    count,
+    window_start
+});
 
 #[cfg(test)]
 mod tests {

@@ -117,13 +117,6 @@ impl Config {
                 ..RuleCfg::default()
             },
         );
-        rules.insert(
-            "S1".to_owned(),
-            RuleCfg {
-                include_tests: false, // throwaway test types need no plumbing
-                ..RuleCfg::default()
-            },
-        );
         Config {
             rules,
             baseline: Vec::new(),

@@ -1,14 +1,11 @@
 //! Pass 1: the repo-wide symbol index.
 //!
 //! The per-file rules (D1–D6, H1–H2) only need one file's [`SourceModel`];
-//! the interprocedural rules (S1 snapshot field coverage, H3 call-graph
-//! hot-path allocation, D7 RNG label registry) need facts that span files.
-//! This module extracts those facts from every scanned file's code view in
-//! one extra pass and exposes them as a queryable [`RepoIndex`]:
+//! the interprocedural rules (H3 call-graph hot-path allocation, D7 RNG
+//! label registry) need facts that span files. This module extracts those
+//! facts from every scanned file's code view in one extra pass and exposes
+//! them as a queryable [`RepoIndex`]:
 //!
-//! * **struct definitions** — name, definition line, and every named field
-//!   with its own definition line (tuple and unit structs carry no named
-//!   fields and are skipped);
 //! * **`impl` blocks and `fn` definitions** — each function records its
 //!   owning `impl` type (if any), its signature line, its body line range,
 //!   the calls its body makes (with the `Type::` qualifier when present),
@@ -22,8 +19,7 @@
 //! state machine. That is deliberate — the build is offline (no `syn`) and
 //! every fact the rules need survives the approximation. Where the
 //! approximation could produce a *false positive*, the extractors err on
-//! the permissive side instead (e.g. over-collecting identifiers only makes
-//! S1 quieter, never noisier).
+//! the permissive side instead.
 
 use crate::scan::SourceModel;
 
@@ -55,28 +51,6 @@ impl SourceFile {
     pub fn line_is_test(&self, line: usize) -> bool {
         self.is_test_file || self.model.in_test.get(line).copied().unwrap_or(false)
     }
-}
-
-/// A named struct field.
-#[derive(Debug)]
-pub struct FieldDef {
-    /// Field name.
-    pub name: String,
-    /// 0-indexed definition line.
-    pub line: usize,
-}
-
-/// A struct with named fields.
-#[derive(Debug)]
-pub struct StructDef {
-    /// Type name (generics stripped).
-    pub name: String,
-    /// Index into the scanned-file list.
-    pub file: usize,
-    /// 0-indexed line of `struct Name`.
-    pub line: usize,
-    /// Named fields in definition order.
-    pub fields: Vec<FieldDef>,
 }
 
 /// What a call's callee is invoked *on* — the resolution key.
@@ -165,8 +139,6 @@ pub struct RngSite {
 /// The repo-wide symbol index (pass 1's output).
 #[derive(Debug, Default)]
 pub struct RepoIndex {
-    /// Every named-field struct, in (file, line) order.
-    pub structs: Vec<StructDef>,
     /// Every function definition, in (file, line) order.
     pub fns: Vec<FnDef>,
     /// Every RNG stream derivation, in (file, line) order.
@@ -360,7 +332,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Indexes one file: structs, impl blocks + fns, RNG stream sites.
+/// Indexes one file: impl blocks + fns, RNG stream sites.
 fn index_file(file: &SourceFile, file_idx: usize, index: &mut RepoIndex) {
     let code = &file.model.code;
     let mut cur = Cursor::new(code);
@@ -372,10 +344,9 @@ fn index_file(file: &SourceFile, file_idx: usize, index: &mut RepoIndex) {
         cur.skip_ws();
         let Some(c) = cur.peek() else { break };
         if c.is_ascii_alphabetic() || c == '_' {
-            let start_line = cur.line;
             let word = cur.read_ident();
             match word.as_str() {
-                "struct" => parse_struct(&mut cur, file_idx, start_line, index),
+                "struct" => skip_struct_body(&mut cur),
                 "impl" => {
                     if let Some(owner) = parse_impl_header(&mut cur) {
                         // The header parse stops on the body `{`.
@@ -413,115 +384,16 @@ fn index_file(file: &SourceFile, file_idx: usize, index: &mut RepoIndex) {
     index_rng_sites(file, file_idx, index);
 }
 
-/// Parses `struct Name …` with the cursor just past `struct`. Records named
-/// fields; tuple (`(…);`) and unit (`;`) structs are skipped.
-fn parse_struct(cur: &mut Cursor, file_idx: usize, def_line: usize, index: &mut RepoIndex) {
-    cur.skip_ws();
-    let name = cur.read_ident();
-    if name.is_empty() {
-        return;
-    }
-    // Skip generics, then find the body opener (or bail at `;` / `(`).
+/// Skips `struct Name … { … }` with the cursor just past `struct`, so a
+/// field type such as `fn(u32) -> u32` is never read as a fn definition.
+/// Tuple (`(…);`) and unit (`;`) structs stop at their first `(` or `;`.
+fn skip_struct_body(cur: &mut Cursor) {
     loop {
-        cur.skip_ws();
         match cur.peek() {
             Some('<') => cur.skip_angles(),
-            Some('(') | Some(';') | None => return, // tuple/unit struct
-            Some('{') => break,
-            Some(_) => cur.bump(), // `where` clauses etc.
-        }
-    }
-    cur.bump(); // consume `{`
-    let mut fields = Vec::new();
-    loop {
-        cur.skip_ws();
-        match cur.peek() {
-            None | Some('}') => break,
-            Some('#') => {
-                // Attribute: `#[…]`.
-                cur.bump();
-                cur.skip_ws();
-                if cur.peek() == Some('[') {
-                    cur.skip_balanced('[', ']');
-                }
-            }
-            Some(c) if c.is_ascii_alphabetic() || c == '_' => {
-                let line = cur.line;
-                let ident = cur.read_ident();
-                if ident == "pub" {
-                    cur.skip_ws();
-                    if cur.peek() == Some('(') {
-                        cur.skip_balanced('(', ')');
-                    }
-                    continue;
-                }
-                cur.skip_ws();
-                if cur.peek() == Some(':') {
-                    cur.bump();
-                    if cur.peek() == Some(':') {
-                        // `::` — not a field after all; skip to the next `,`.
-                        skip_to_field_end(cur);
-                        continue;
-                    }
-                    fields.push(FieldDef { name: ident, line });
-                    skip_to_field_end(cur);
-                } else {
-                    skip_to_field_end(cur);
-                }
-            }
+            Some('(') | Some(';') | None => return,
+            Some('{') => return cur.skip_balanced('{', '}'),
             Some(_) => cur.bump(),
-        }
-    }
-    index.structs.push(StructDef {
-        name,
-        file: file_idx,
-        line: def_line,
-        fields,
-    });
-}
-
-/// Skips a field's type up to the `,` (consumed) or the struct's closing
-/// `}` (left in place), tracking every bracket kind so commas inside
-/// `DetHashMap<K, V>`, tuples, and arrays don't end the field early.
-fn skip_to_field_end(cur: &mut Cursor) {
-    let mut prev = ' ';
-    loop {
-        match cur.peek() {
-            None => return,
-            Some(',') => {
-                cur.bump();
-                return;
-            }
-            Some('}') => return,
-            Some('<') => {
-                cur.skip_angles();
-                prev = '>';
-                continue;
-            }
-            Some('>') if prev == '-' => {
-                cur.bump(); // `->` in an fn-pointer type
-                prev = '>';
-                continue;
-            }
-            Some('(') => {
-                cur.skip_balanced('(', ')');
-                prev = ')';
-                continue;
-            }
-            Some('[') => {
-                cur.skip_balanced('[', ']');
-                prev = ']';
-                continue;
-            }
-            Some('{') => {
-                cur.skip_balanced('{', '}');
-                prev = '}';
-                continue;
-            }
-            Some(c) => {
-                prev = c;
-                cur.bump();
-            }
         }
     }
 }
@@ -869,15 +741,12 @@ mod tests {
     }
 
     #[test]
-    fn indexes_struct_fields_with_lines() {
-        let src = "pub struct Foo<T: Clone> {\n    pub a: u64,\n    b: DetHashMap<u32, Vec<f64>>,\n    c: fn(u32) -> u32,\n}\nstruct Unit;\nstruct Tup(u32);\n";
+    fn struct_bodies_are_not_indexed_as_fns() {
+        let src = "pub struct Foo<T: Clone> {\n    c: fn(u32) -> u32,\n    d: DetHashMap<u32, Vec<f64>>,\n}\nstruct Tup(u32);\nimpl Foo {\n    fn go(&self) {}\n}\n";
         let idx = RepoIndex::build(&[file(src)]);
-        assert_eq!(idx.structs.len(), 1);
-        let s = &idx.structs[0];
-        assert_eq!(s.name, "Foo");
-        let names: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["a", "b", "c"]);
-        assert_eq!(s.fields[1].line, 2);
+        let names: Vec<&str> = idx.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["go"]);
+        assert_eq!(idx.fns[0].owner.as_deref(), Some("Foo"));
     }
 
     #[test]

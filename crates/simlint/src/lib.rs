@@ -11,14 +11,16 @@
 //!   captures, RNG stream-label collisions);
 //! * **H1–H3** — hot-path invariants (no allocation inside slab fences, no
 //!   truncating casts in simulated-time arithmetic, no allocation reachable
-//!   through calls leaving a fence);
-//! * **S1** — snapshot completeness (every field of a snapshotting type is
-//!   plumbed through `snap_save`/`snap_restore`).
+//!   through calls leaving a fence).
+//!
+//! Snapshot completeness is left to the compiler: every codec names every
+//! field of its type (`simcore::snap_fields!`, or an exhaustive
+//! `let Self { … } = self;`), and the workspace denies unused variables.
 //!
 //! Linting runs in two passes: pass 1 applies the per-file rules to each
 //! [`scan::SourceModel`]; pass 2 builds a repo-wide [`index::RepoIndex`]
-//! (structs, fns, calls, RNG sites) and runs the interprocedural rules
-//! (S1, H3, D7) against it.
+//! (fns, calls, RNG sites) and runs the interprocedural rules (H3, D7)
+//! against it.
 //!
 //! Three front ends share this library: the `simlint` binary, the
 //! `repro lint` subcommand, and the tier-1 integration test
@@ -557,14 +559,14 @@ mod tests {
     #[test]
     fn lint_sources_runs_interprocedural_pass() {
         let cfg = Config::builtin();
-        let src = "struct S { a: u64 }\nimpl S {\n    fn snap_save(&self) {}\n    fn snap_restore(&mut self) {}\n}\n";
+        let src = "fn setup(f: &RngFactory, label: &str) {\n    let a = f.stream(label);\n}\n";
         let report = lint_sources(&[("crates/x/src/lib.rs", src)], &cfg);
         assert!(
             report
                 .findings
                 .iter()
-                .any(|f| f.rule == "S1" && f.line == 1),
-            "field `a` unplumbed: {:?}",
+                .any(|f| f.rule == "D7" && f.line == 2),
+            "non-literal stream label: {:?}",
             report.findings
         );
     }

@@ -12,11 +12,17 @@
 //! | H1 | hot path | allocation-prone calls (`Vec::new`, `clone`, `format!`, …) inside a `// simlint: hotpath(begin/end)` fence: the slab request path must not allocate in steady state |
 //! | H2 | hot path | `as` integer casts in `simcore::time` arithmetic: truncation silently wraps simulated nanoseconds; use checked/asserted conversions |
 //! | H3 | hot path | calls from inside an H1 fence whose callee (transitively, bounded depth) contains allocation-prone lines: the fence is only as good as what it calls |
-//! | S1 | snapshot | a field of a type with `snap_save`/`snap_restore` plumbing that the save body never writes or the restore body never reads: "added a field, forgot the plumbing" caught at lint time instead of by the runtime differential battery |
 //!
-//! D1–D6, H1–H2 are per-file rules over one [`SourceModel`]; D7, H3, and S1
-//! are **interprocedural** — they run in a second pass against the
-//! repo-wide [`crate::index::RepoIndex`] built over every scanned file.
+//! D1–D6, H1–H2 are per-file rules over one [`SourceModel`]; D7 and H3 are
+//! **interprocedural** — they run in a second pass against the repo-wide
+//! [`crate::index::RepoIndex`] built over every scanned file.
+//!
+//! Snapshot *completeness* — every field of a snapshotting type written by
+//! its save and read by its restore — is not a lint: the compiler checks
+//! it. Each codec names every field of its type, either through
+//! `simcore::snap_fields!` or through a `let Self { … } = self;` pattern
+//! with no `..` (see `simcore::snap`), and the workspace denies unused
+//! variables, so a forgotten field fails `cargo build`.
 //!
 //! Every rule is suppressible per line with `// simlint: allow(<rule>)` and
 //! per file via `simlint.toml` (`allow_paths`, or a `[baseline]` entry —
@@ -87,11 +93,6 @@ pub const RULES: &[RuleInfo] = &[
         id: "H3",
         summary: "call from a hotpath fence reaches an allocation-prone line in an unfenced callee",
         hint: "fence the callee (H1 then checks it line by line), remove the allocation, or waive the call site with simlint: allow(H3)",
-    },
-    RuleInfo {
-        id: "S1",
-        summary: "field of a snapshotting type is missing from snap_save/snap_restore (checkpoint/resume silently loses it)",
-        hint: "plumb the field through snap_save and snap_restore, or waive config/derived fields with simlint: allow(S1) and a reason",
     },
 ];
 
@@ -473,10 +474,11 @@ fn assign_base(prefix: &str) -> Option<String> {
 /// `snap_save`/`snap_restore` pair covers. A file that *owns* live sim state
 /// — an RNG stream, the calendar, a running statistic — but never touches
 /// the snapshot registry is state a checkpoint silently loses. Heuristic:
-/// if any code line mentions `SnapWriter`/`SnapReader` or `snap_save`, the
-/// file participates in the registry and its coverage is proven dynamically
-/// by the differential battery (`tests/snapshot.rs`); otherwise every field
-/// of a known stateful type is flagged.
+/// if any code line mentions `SnapWriter`/`SnapReader`, `snap_save` or a
+/// `snap_fields!` codec, the file participates in the registry, the
+/// compiler checks that its codecs name every field, and the differential
+/// battery (`tests/snapshot.rs`) proves the values round-trip; otherwise
+/// every field of a known stateful type is flagged.
 pub fn d5_unsnapshotted_state(ctx: &FileCtx, cfg: &RuleCfg, out: &mut Vec<Finding>) {
     const STATE_TYPES: &[&str] = &[
         "Rng",
@@ -494,6 +496,7 @@ pub fn d5_unsnapshotted_state(ctx: &FileCtx, cfg: &RuleCfg, out: &mut Vec<Findin
         find_token(line, "SnapWriter").is_some()
             || find_token(line, "SnapReader").is_some()
             || find_token(line, "snap_save").is_some()
+            || find_token(line, "snap_fields").is_some()
     });
     if participates {
         return;
@@ -634,130 +637,6 @@ fn push_at(
         hint: hint_for(rule),
         baselined: false,
     });
-}
-
-/// The method names that mark a snapshot *save* body (`snap_save` inherent
-/// impls; `save` from `impl Snap for …`).
-const SNAP_SAVE_FNS: &[&str] = &["snap_save", "save"];
-/// The method names that mark a snapshot *restore* body (`snap_load` is
-/// the constructor-style variant: `fn snap_load(r) -> Self`).
-const SNAP_RESTORE_FNS: &[&str] = &["snap_restore", "snap_load", "load"];
-
-/// S1: every field of a snapshotting type must be written by its save body
-/// and read by its restore body.
-///
-/// A type "participates in snapshotting" when the index holds a
-/// `snap_save`/`save` fn owned by an `impl` of that type. For each named
-/// field, the save bodies (same-file impls preferred, to keep same-named
-/// types in other files from cross-talking) must mention the field as a
-/// token, and so must the restore bodies (`snap_restore`/`load`). Mention
-/// is coverage: `w.u64(self.next_seq)` and `self.overload.snap_save(w)`
-/// both count — the differential battery (`tests/snapshot.rs`) proves the
-/// *values* round-trip; S1 proves no field is forgotten entirely.
-///
-/// Deliberately un-plumbed fields (configuration rebuilt from params,
-/// scratch buffers, derived caches) are waived at the definition site with
-/// `// simlint: allow(S1) — reason`, which doubles as documentation.
-pub fn s1_snapshot_field_coverage(
-    files: &[SourceFile],
-    index: &RepoIndex,
-    cfg: &RuleCfg,
-    out: &mut Vec<Finding>,
-) {
-    for s in &index.structs {
-        let file = &files[s.file];
-        if !rule_in_scope(cfg, &file.rel) {
-            continue;
-        }
-        if !cfg.include_tests && file.line_is_test(s.line) {
-            continue;
-        }
-        let save_bodies = snap_bodies(index, &s.name, s.file, SNAP_SAVE_FNS);
-        if save_bodies.is_empty() {
-            continue; // not a snapshotting type; D5 covers the rest
-        }
-        let restore_bodies = snap_bodies(index, &s.name, s.file, SNAP_RESTORE_FNS);
-        if restore_bodies.is_empty() {
-            push_at(
-                out,
-                "S1",
-                file,
-                s.line,
-                format!(
-                    "snapshotting type `{}` has {} but no matching {}",
-                    s.name, "snap_save", "snap_restore/load"
-                ),
-            );
-            continue;
-        }
-        for field in &s.fields {
-            if file.model.is_allowed(field.line, "S1") {
-                continue;
-            }
-            if !cfg.include_tests && file.line_is_test(field.line) {
-                continue;
-            }
-            if !bodies_mention(files, &save_bodies, &field.name) {
-                push_at(
-                    out,
-                    "S1",
-                    file,
-                    field.line,
-                    format!(
-                        "field `{}` of snapshotting type `{}` is never written in {} — a checkpoint would silently lose it",
-                        field.name, s.name, "snap_save"
-                    ),
-                );
-            } else if !bodies_mention(files, &restore_bodies, &field.name) {
-                push_at(
-                    out,
-                    "S1",
-                    file,
-                    field.line,
-                    format!(
-                        "field `{}` of snapshotting type `{}` is written in {} but never read in {} — a resume would silently lose it",
-                        field.name, s.name, "snap_save", "snap_restore"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// The save/restore fn bodies for `owner`, as (file, start, end) ranges.
-/// Same-file definitions win when present (two same-named types in
-/// different files must not validate each other's fields).
-fn snap_bodies(
-    index: &RepoIndex,
-    owner: &str,
-    def_file: usize,
-    names: &[&str],
-) -> Vec<(usize, usize, usize)> {
-    let all: Vec<_> = names
-        .iter()
-        .flat_map(|n| index.fns_of(owner, n))
-        .filter(|f| !f.in_test)
-        .collect();
-    let same_file: Vec<_> = all.iter().filter(|f| f.file == def_file).collect();
-    let picked: Vec<&&crate::index::FnDef> = if same_file.is_empty() {
-        all.iter().collect()
-    } else {
-        same_file
-    };
-    picked
-        .into_iter()
-        .map(|f| (f.file, f.body_start, f.body_end))
-        .collect()
-}
-
-/// Whether any body range mentions `name` as a token.
-fn bodies_mention(files: &[SourceFile], bodies: &[(usize, usize, usize)], name: &str) -> bool {
-    bodies.iter().any(|&(file, start, end)| {
-        let code = &files[file].model.code;
-        code[start..=end.min(code.len() - 1)]
-            .iter()
-            .any(|line| find_token(line, name).is_some())
-    })
 }
 
 /// H3: a call made on a hotpath-fenced line must not reach an
@@ -906,7 +785,6 @@ pub fn run_index_rules(
     cfg: &crate::config::Config,
     out: &mut Vec<Finding>,
 ) -> Vec<RngStreamEntry> {
-    s1_snapshot_field_coverage(files, index, &cfg.rule("S1"), out);
     h3_hotpath_call_alloc(files, index, &cfg.rule("H3"), out);
     d7_rng_label_registry(files, index, &cfg.rule("D7"), out)
 }

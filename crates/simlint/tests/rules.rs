@@ -27,7 +27,7 @@ fn lint_fixture(name: &str, rel: &str) -> (Vec<Finding>, String) {
 }
 
 /// Lints fixture files together as one tree — both passes, so the
-/// interprocedural rules (S1, H3, D7) run too.
+/// interprocedural rules (H3, D7) run too.
 fn lint_fixture_tree(pairs: &[(&str, &str)]) -> (Report, String) {
     let cfg = Config::builtin();
     let sources: Vec<(&str, String)> = pairs
@@ -176,6 +176,19 @@ fn d5_skips_files_that_participate_in_the_snapshot_registry() {
 }
 
 #[test]
+fn d5_counts_a_derived_codec_as_participation() {
+    // A file whose only codec is a `snap_fields!` invocation participates
+    // too: the compiler checks that the list names every field.
+    let cfg = Config::builtin();
+    let source = format!(
+        "{}\nsimcore::snap_fields!(Meter {{ rate }});\n",
+        fixture("d5_bad.rs")
+    );
+    let findings = lint_source("crates/simcore/src/widget.rs", &source, &cfg);
+    assert!(findings.is_empty(), "registered file: {findings:?}");
+}
+
+#[test]
 fn d6_fires_on_spawn_closure_mutating_captured_state() {
     let rel = "crates/x/src/lib.rs";
     let (findings, json) = lint_fixture("d6_bad.rs", rel);
@@ -262,38 +275,6 @@ fn baseline_demotes_findings_without_hiding_them() {
 }
 
 // ================================================ interprocedural (pass 2)
-
-#[test]
-fn s1_fires_on_unplumbed_fields_at_definition_lines() {
-    let rel = "crates/x/src/lib.rs";
-    let (report, json) = lint_fixture_tree(&[("s1_bad.rs", rel)]);
-    assert!(report.findings.iter().all(|f| f.rule == "S1"));
-    // `lost` (line 6) is never written in snap_save; `half` (line 7) is
-    // saved but never restored.
-    assert_json_lines(&json, "S1", rel, &[6, 7]);
-    let lost = report.findings.iter().find(|f| f.line == 6).unwrap();
-    assert!(
-        lost.message.contains("`lost`") && lost.message.contains("never written in snap_save"),
-        "definition-site diagnostic: {}",
-        lost.message
-    );
-    let half = report.findings.iter().find(|f| f.line == 7).unwrap();
-    assert!(
-        half.message.contains("`half`") && half.message.contains("never read in snap_restore"),
-        "restore-side diagnostic: {}",
-        half.message
-    );
-}
-
-#[test]
-fn s1_respects_allow() {
-    let (report, _) = lint_fixture_tree(&[("s1_allowed.rs", "crates/x/src/lib.rs")]);
-    assert!(
-        report.findings.is_empty(),
-        "allowlisted: {:?}",
-        report.findings
-    );
-}
 
 #[test]
 fn h3_fires_on_transitive_alloc_with_chain_named() {

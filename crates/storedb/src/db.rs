@@ -136,13 +136,14 @@ use simcore::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 impl Snap for Database {
     fn save(&self, w: &mut SnapWriter) {
+        let Self { tables } = self;
         w.section("database");
-        let mut names: Vec<&String> = self.tables.keys().collect();
+        let mut names: Vec<&String> = tables.keys().collect();
         names.sort_unstable();
         w.usize(names.len());
         for name in names {
             w.str(name);
-            self.tables[name].save(w);
+            tables[name].save(w);
         }
     }
 

@@ -73,9 +73,14 @@ use simcore::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 impl Snap for Schema {
     fn save(&self, w: &mut SnapWriter) {
-        w.str(&self.name);
-        self.columns.save(w);
-        self.indexed.save(w);
+        let Self {
+            name,
+            columns,
+            indexed,
+        } = self;
+        w.str(name);
+        columns.save(w);
+        indexed.save(w);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {

@@ -281,21 +281,26 @@ impl Snap for Table {
     /// name, so two logically equal tables snapshot to identical bytes
     /// regardless of insertion history.
     fn save(&self, w: &mut SnapWriter) {
+        let Self {
+            schema,
+            rows,
+            indexes,
+        } = self;
         w.section("table");
-        self.schema.save(w);
-        let mut keys: Vec<u64> = self.rows.keys().copied().collect();
+        schema.save(w);
+        let mut keys: Vec<u64> = rows.keys().copied().collect();
         keys.sort_unstable();
         w.usize(keys.len());
         for key in keys {
             w.u64(key);
-            self.rows[&key].save(w);
+            rows[&key].save(w);
         }
-        let mut cols: Vec<&String> = self.indexes.keys().collect();
+        let mut cols: Vec<&String> = indexes.keys().collect();
         cols.sort_unstable();
         w.usize(cols.len());
         for col in cols {
             w.str(col);
-            let index = &self.indexes[col];
+            let index = &indexes[col];
             w.usize(index.len());
             for (value, keys) in index {
                 value.save(w);

@@ -151,6 +151,18 @@ impl PerfCounters {
     }
 }
 
+simcore::snap_fields!(PerfCounters {
+    instructions,
+    cycles,
+    kernel_cycles,
+    l2_misses,
+    l3_misses,
+    branch_mispredicts,
+    frontend_stall_cycles,
+    context_switches,
+    migrations,
+});
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -60,6 +60,12 @@ impl ExecContext {
     }
 }
 
+simcore::snap_fields!(ExecContext {
+    smt_sibling_busy,
+    ccx_pressure,
+    numa_local,
+});
+
 /// The price of one RPC between two service instances.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RpcCost {
