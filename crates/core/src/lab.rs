@@ -5,7 +5,7 @@ use cputopo::Topology;
 use loadgen::{ClosedLoop, OpenLoop};
 use microsvc::{
     mix_seed, AppSpec, Deployment, Engine, EngineParams, FaultPlan, LbPolicy, RunReport, ShardSpec,
-    ShardedRun, WindowPolicy,
+    ShardedRun, SnapDriver, WindowPolicy,
 };
 use simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
 use std::sync::Arc;
@@ -130,7 +130,7 @@ impl Lab {
         self
     }
 
-    /// Routes every closed-loop run through snapshot-at-warmup + resume.
+    /// Routes every run through snapshot-at-warmup + resume.
     pub fn with_checkpoint(mut self, checkpoint: bool) -> Self {
         self.checkpoint = checkpoint;
         self
@@ -242,25 +242,23 @@ impl Lab {
         ShardedRun::new(cells, self.shard_spec()).with_policy(self.shard_policy)
     }
 
-    /// Runs a sharded closed-loop measurement; with `checkpoint` set the run
-    /// detours through a barrier snapshot at the end of warm-up and resumes
-    /// into freshly built cells, exactly like the serial checkpoint path.
-    fn run_app_sharded(&self, app: &AppSpec, deployment: Deployment, lb: LbPolicy) -> RunReport {
+    /// Runs a sharded measurement over the cells `build` makes; with
+    /// `checkpoint` set the run detours through a barrier snapshot at the
+    /// end of warm-up and resumes into freshly built cells, exactly like
+    /// the serial checkpoint path.
+    fn run_sharded<D: SnapDriver + Send>(&self, build: impl Fn() -> ShardedRun<D>) -> RunReport {
         let workers = self.shard_workers_resolved();
-        let mut run = self.build_closed_cells(app, &deployment, lb);
+        let mut run = build();
         if self.checkpoint {
             run.run(SimTime::ZERO + self.warmup, workers);
             let mut w = SnapWriter::new();
             run.snap_save(&mut w);
             let bytes = w.finish();
-            let mut resumed = self.build_closed_cells(app, &deployment, lb);
+            run = build();
             let mut r =
                 SnapReader::new(&bytes).expect("a snapshot taken in-process is well-formed");
-            resumed
-                .snap_restore(&mut r)
+            run.snap_restore(&mut r)
                 .expect("a snapshot taken in-process restores into the same config");
-            resumed.run(self.horizon(), workers);
-            return resumed.report();
         }
         run.run(self.horizon(), workers);
         run.report()
@@ -270,7 +268,7 @@ impl Lab {
     /// mix taken from the app's class weights.
     pub fn run_app(&self, app: &AppSpec, deployment: Deployment, lb: LbPolicy) -> RunReport {
         if self.shards > 1 {
-            return self.run_app_sharded(app, deployment, lb);
+            return self.run_sharded(|| self.build_closed_cells(app, &deployment, lb));
         }
         if self.checkpoint {
             let bytes = self.snapshot_app(app, deployment.clone(), lb, SimTime::ZERO + self.warmup);
@@ -416,10 +414,7 @@ impl Lab {
         rate_rps: f64,
     ) -> RunReport {
         if self.shards > 1 {
-            let workers = self.shard_workers_resolved();
-            let mut run = self.build_open_cells(app, &deployment, lb, rate_rps);
-            run.run(self.horizon(), workers);
-            return run.report();
+            return self.run_sharded(|| self.build_open_cells(app, &deployment, lb, rate_rps));
         }
         if self.checkpoint {
             // Snapshot at the end of warm-up, then resume into a freshly
@@ -508,7 +503,7 @@ impl Lab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microsvc::{CallNode, Demand, ServiceSpec};
+    use microsvc::{CallNode, Demand, InstanceConfig, ServiceId, ServiceSpec};
     use uarch::ServiceProfile;
 
     fn tiny_app() -> AppSpec {
@@ -650,20 +645,27 @@ mod tests {
     fn resume_rejects_mismatched_deployment() {
         let lab = Lab::small(8);
         let app = tiny_app();
-        let bytes = lab.snapshot_app(
-            &app,
-            Deployment::uniform(&app, &lab.topo, 2, 4),
-            LbPolicy::RoundRobin,
-            SimTime::ZERO + lab.warmup,
-        );
-        let err = lab
-            .resume_app(
-                &app,
-                Deployment::uniform(&app, &lab.topo, 1, 4),
-                LbPolicy::RoundRobin,
-                &bytes,
-            )
-            .expect_err("a different deployment must be refused");
-        assert!(matches!(err, SnapError::Corrupt(_)), "got {err:?}");
+        let refused = |taken: Deployment, resumed: Deployment, lb: LbPolicy| {
+            let bytes = lab.snapshot_app(&app, taken, lb, SimTime::ZERO + lab.warmup);
+            let err = lab
+                .resume_app(&app, resumed, lb, &bytes)
+                .expect_err("a different deployment must be refused");
+            assert!(matches!(err, SnapError::Corrupt(_)), "got {err:?}");
+        };
+        let uniform = |replicas| Deployment::uniform(&app, &lab.topo, replicas, 4);
+        refused(uniform(2), uniform(1), LbPolicy::RoundRobin);
+        // The same replicas pinned one per CCX: only the masks differ.
+        let unpinned = Policy::Unpinned.deploy(&app, &lab.topo, &[2]);
+        let packed = Policy::Packed.deploy(&app, &lab.topo, &[2]);
+        refused(unpinned.deployment, packed.deployment, unpinned.lb);
+        // Two unpinned instances with 4 + 8 threads, resumed as 8 + 4.
+        let split = |threads: [usize; 2]| {
+            let mut d = Deployment::empty(&app);
+            for t in threads {
+                d.add_instance(ServiceId(0), InstanceConfig::unpinned(&lab.topo, t));
+            }
+            d
+        };
+        refused(split([4, 8]), split([8, 4]), LbPolicy::RoundRobin);
     }
 }

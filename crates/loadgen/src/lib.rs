@@ -336,10 +336,11 @@ impl UserTable {
         *self.journal.get_mut() = journal;
     }
 
-    /// Serializes the table in the `SNAP_VERSION` 1 layout: one u64
-    /// deadline per user (0 for a user that is not parked), the buckets in
-    /// key order, each with its users in wake order, then the spare count
-    /// of the earlier vector-pool table (always 0), high water and parked.
+    /// Serializes the table in its pinned layout, unchanged since
+    /// `SNAP_VERSION` 1: one u64 deadline per user (0 for a user that is
+    /// not parked), the buckets in key order, each with its users in wake
+    /// order, then the spare count of the earlier vector-pool table
+    /// (always 0), high water and parked.
     /// The deadline column and every bucket go through the bulk slice
     /// codecs.
     fn snap_save(&self, w: &mut SnapWriter) {
@@ -1488,9 +1489,9 @@ mod tests {
             users
         }
 
-        /// The `SNAP_VERSION` 1 table layout: the deadlines of users that
-        /// are not parked read 0, and each bucket lists its users in wake
-        /// order.
+        /// The pinned table layout (unchanged since `SNAP_VERSION` 1): the
+        /// deadlines of users that are not parked read 0, and each bucket
+        /// lists its users in wake order.
         fn snap_bytes(&self) -> Vec<u8> {
             let mut deadlines = vec![0; self.deadline_ns.len()];
             for &u in self.buckets.values().flatten() {

@@ -2225,10 +2225,12 @@ impl Engine {
     /// A fingerprint of the configuration this engine was built from.
     ///
     /// Snapshots capture *mutable* state only; everything derived from the
-    /// topology, application, and parameters is rebuilt by [`Engine::new`].
-    /// Restoring into an engine built from a different configuration would
-    /// silently misinterpret slab indices, so the fingerprint is written
-    /// first and checked first.
+    /// topology, application, parameters and deployment is rebuilt by
+    /// [`Engine::new`]. Restoring into an engine built from a different
+    /// configuration would silently misinterpret slab indices, or run the
+    /// snapshot's state on another placement, so the fingerprint is written
+    /// first and checked first. It covers the deployment instance by
+    /// instance: service, CPU mask, thread count and memory node.
     ///
     /// Hashed as it is formatted: every micro-snapshot writes it, and
     /// building the string would allocate.
@@ -2245,6 +2247,22 @@ impl Engine {
             self.workers.len()
         )
         .expect("hashing never fails");
+        // An instance's workers are consecutive and share its mask, so one
+        // binary search per instance finds its thread count and its first
+        // worker's task holds the mask.
+        let mut first = 0;
+        for (idx, inst) in self.instances.iter().enumerate() {
+            let threads = self.workers[first..].partition_point(|w| w.instance == idx);
+            let mask = self.sched.affinity_of(self.workers[first].task).words();
+            for v in [inst.service, threads, mask.len()] {
+                h.write(&(v as u64).to_le_bytes());
+            }
+            for word in mask {
+                h.write(&word.to_le_bytes());
+            }
+            h.write(&inst.mem_node.0.to_le_bytes());
+            first += threads;
+        }
         h.finish()
     }
 
@@ -2377,7 +2395,10 @@ impl Engine {
 
     /// Restores state captured by [`Engine::snap_save`] into an engine built
     /// from the *same* configuration (topology, application, deployment, and
-    /// parameters). On success the engine continues the snapshotted run via
+    /// parameters). The snapshot carries no configuration: worker affinities
+    /// stay as [`Engine::new`] spawned them, and a snapshot of another
+    /// deployment fails the fingerprint check with [`SnapError::Corrupt`].
+    /// On success the engine continues the snapshotted run via
     /// [`Engine::run_resumed`]; on error the engine is in an unspecified
     /// state and must be discarded.
     pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -4158,26 +4179,56 @@ mod tests {
 
     #[test]
     fn snapshot_rejects_a_different_configuration() {
-        let topo = Arc::new(Topology::desktop_8c());
-        let (app, _) = one_service_app(400.0);
-        let deployment = Deployment::uniform(&app, &topo, 1, 1);
-        let mut engine = Engine::new(topo.clone(), EngineParams::default(), app, deployment, 7);
+        // Same app throughout; each other deployment changes one thing the
+        // snapshot does not carry. Another instance count would make the
+        // slab indices meaningless; the placement changes keep every size.
+        let topo = Arc::new(Topology::zen2_2p_128c());
+        let (app, svc) = one_service_app(400.0);
+        let instance =
+            |affinity: &cputopo::CpuSet, threads, mem_node| crate::deploy::InstanceConfig {
+                affinity: affinity.clone(),
+                threads,
+                mem_node,
+            };
+        let deploy = |instances: &[crate::deploy::InstanceConfig]| {
+            let mut d = Deployment::empty(&app);
+            for config in instances {
+                d.add_instance(svc, config.clone());
+            }
+            Engine::new(topo.clone(), EngineParams::default(), app.clone(), d, 7)
+        };
+        let (all, numa0) = (topo.all_cpus(), topo.cpus_in_numa(NumaId(0)));
+        let mut engine = deploy(&[instance(all, 1, None), instance(all, 2, None)]);
         engine.run(&mut ResubmitDriver { clients: 4 }, SimTime::from_millis(2));
         let mut w = SnapWriter::new();
         engine.snap_save(&mut w);
         let bytes = w.finish();
-
-        // Same app shape, different instance count: the slab indices in the
-        // snapshot would be meaningless, so the restore must refuse.
-        let (app2, _) = one_service_app(400.0);
-        let deployment2 = Deployment::uniform(&app2, &topo, 2, 1);
-        let mut other = Engine::new(topo, EngineParams::default(), app2, deployment2, 7);
-        let mut r = SnapReader::new(&bytes).expect("valid envelope");
-        match other.snap_restore(&mut r) {
-            Err(SnapError::Corrupt(msg)) => {
-                assert!(msg.contains("engine config"), "diagnostic: {msg}")
+        let restore = |mut target: Engine| {
+            target.snap_restore(&mut SnapReader::new(&bytes).expect("valid envelope"))
+        };
+        restore(deploy(&[instance(all, 1, None), instance(all, 2, None)]))
+            .expect("the same deployment restores");
+        for (what, other) in [
+            ("another instance count", vec![instance(all, 3, None)]),
+            (
+                "another mask",
+                vec![instance(numa0, 1, None), instance(all, 2, None)],
+            ),
+            (
+                "another memory node",
+                vec![instance(all, 1, Some(NumaId(1))), instance(all, 2, None)],
+            ),
+            (
+                "threads moved between instances",
+                vec![instance(all, 2, None), instance(all, 1, None)],
+            ),
+        ] {
+            match restore(deploy(&other)) {
+                Err(SnapError::Corrupt(msg)) => {
+                    assert!(msg.contains("engine config"), "{what}: {msg}")
+                }
+                got => panic!("{what}: expected a config-fingerprint rejection, got {got:?}"),
             }
-            other => panic!("expected a config-fingerprint rejection, got {other:?}"),
         }
     }
 

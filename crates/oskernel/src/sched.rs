@@ -258,52 +258,7 @@ impl Scheduler {
         self.tasks[task.index()].vruntime += ran;
     }
 
-    /// Changes a task's affinity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task is currently `Running` (deschedule it first), if
-    /// the mask is empty, or if it names CPUs outside the machine. A
-    /// `Runnable` task queued on a now-forbidden CPU is re-queued.
-    pub fn set_affinity(&mut self, task: TaskId, affinity: CpuSet) {
-        assert!(
-            !affinity.is_empty(),
-            "task affinity must allow at least one CPU"
-        );
-        assert!(
-            affinity.is_subset(self.topo.all_cpus()),
-            "affinity {affinity} names CPUs outside the machine"
-        );
-        let state = self.tasks[task.index()].state;
-        assert!(
-            state != TaskState::Running,
-            "cannot change affinity of a running task; block it first"
-        );
-        if state == TaskState::Runnable {
-            // Find and remove from its runqueue, then requeue legally.
-            let vruntime = self.tasks[task.index()].vruntime;
-            let queued_on = (0..self.runqueues.len())
-                .find(|&i| self.runqueues[i].remove(task))
-                .map(|i| CpuId(i as u32));
-            if queued_on.is_some() {
-                self.queued_total -= 1;
-            }
-            self.tasks[task.index()].affinity = affinity;
-            if let Some(old) = queued_on {
-                let target = if self.tasks[task.index()].affinity.contains(old) {
-                    old
-                } else {
-                    self.least_loaded(&self.tasks[task.index()].affinity.clone())
-                };
-                self.runqueues[target.index()].push(task, vruntime);
-                self.queued_total += 1;
-            }
-        } else {
-            self.tasks[task.index()].affinity = affinity;
-        }
-    }
-
-    /// A task's current affinity.
+    /// A task's affinity, fixed when it was spawned.
     pub fn affinity_of(&self, task: TaskId) -> &CpuSet {
         &self.tasks[task.index()].affinity
     }
@@ -547,16 +502,17 @@ impl Scheduler {
 
     // ---- snapshot ----
 
-    /// Serializes the scheduler's mutable state: tasks (including runtime
-    /// affinity changes), runqueues, the running table, and counters. The
-    /// topology and params are *not* captured — a restored scheduler must be
-    /// constructed over the same machine first.
+    /// Serializes the scheduler's mutable state: per task its state, CPU,
+    /// last CPU and vruntime, then the runqueues, the running table, and
+    /// counters. The topology, params and task affinities are *not*
+    /// captured: affinity is fixed at spawn, so a restored scheduler must
+    /// be constructed over the same machine and spawn the same tasks first.
     ///
     /// Everything streams straight into the writer with no intermediate
     /// collections — wide adaptive shard rounds take this snapshot once
     /// per round per cell. The layout is that of the equivalent
-    /// `Vec<u32>` (affinity), `Vec<(SimDuration, u64, u64)>` (runqueue) and
-    /// `Vec<Option<u64>>` (running table) saves.
+    /// `Vec<(SimDuration, u64, u64)>` (runqueue) and `Vec<Option<u64>>`
+    /// (running table) saves.
     pub fn snap_save(&self, w: &mut SnapWriter) {
         let Self {
             topo: _,   // config, shared and immutable
@@ -573,7 +529,7 @@ impl Scheduler {
         for t in tasks {
             let Task {
                 state,
-                affinity,
+                affinity: _, // config, fixed at spawn
                 cpu,
                 last_cpu,
                 vruntime,
@@ -584,7 +540,6 @@ impl Scheduler {
                 TaskState::Blocked => 2,
                 TaskState::Terminated => 3,
             });
-            w.u32s_iter(affinity.len(), affinity.iter().map(|c| c.0));
             cpu.map(|c| c.0).save(w);
             last_cpu.map(|c| c.0).save(w);
             vruntime.save(w);
@@ -612,7 +567,10 @@ impl Scheduler {
     }
 
     /// Restores state captured by [`Scheduler::snap_save`] into a scheduler
-    /// freshly built over the same topology and params.
+    /// built over the same topology and params that has spawned the same
+    /// tasks: each task keeps the affinity its `spawn` set. A snapshot of a
+    /// different number of tasks is [`SnapError::Corrupt`]. On error the
+    /// scheduler is in an unspecified state and must be discarded.
     pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let Self {
             topo,
@@ -626,10 +584,22 @@ impl Scheduler {
         } = self;
         r.section("scheduler")?;
         let ncpus = runqueues.len();
-        let ntasks = r.checked_len()?;
-        let mut new_tasks = Vec::with_capacity(ntasks);
-        for idx in 0..ntasks {
-            let state = match r.u8()? {
+        let ntasks = r.usize()?;
+        if ntasks != tasks.len() {
+            return Err(SnapError::Corrupt(format!(
+                "snapshot has {ntasks} tasks, scheduler spawned {}",
+                tasks.len()
+            )));
+        }
+        for t in tasks.iter_mut() {
+            let Task {
+                state,
+                affinity: _, // config, fixed at spawn
+                cpu,
+                last_cpu,
+                vruntime,
+            } = t;
+            *state = match r.u8()? {
                 0 => TaskState::Runnable,
                 1 => TaskState::Running,
                 2 => TaskState::Blocked,
@@ -638,36 +608,9 @@ impl Scheduler {
                     return Err(SnapError::Corrupt(format!("unknown task state {other}")));
                 }
             };
-            let ids = r.u32s_iter()?;
-            let affinity = match tasks.get(idx) {
-                // Affinity rarely changes after spawn, so a restore into
-                // the same engine mostly finds it already in place.
-                Some(t) if t.affinity.iter().map(|c| c.0).eq(ids.clone()) => t.affinity.clone(),
-                _ => {
-                    let mut set = CpuSet::empty();
-                    for cpu in ids.map(CpuId) {
-                        // Checked before the insert: a corrupt id must not
-                        // grow the bitmask to its size.
-                        if !topo.all_cpus().contains(cpu) {
-                            return Err(SnapError::Corrupt(
-                                "task affinity does not fit the machine".into(),
-                            ));
-                        }
-                        set.insert(cpu);
-                    }
-                    set
-                }
-            };
-            if affinity.is_empty() {
-                return Err(SnapError::Corrupt("task affinity is empty".into()));
-            }
-            new_tasks.push(Task {
-                state,
-                affinity,
-                cpu: Option::<u32>::load(r)?.map(CpuId),
-                last_cpu: Option::<u32>::load(r)?.map(CpuId),
-                vruntime: SimDuration::load(r)?,
-            });
+            *cpu = Option::<u32>::load(r)?.map(CpuId);
+            *last_cpu = Option::<u32>::load(r)?.map(CpuId);
+            *vruntime = SimDuration::load(r)?;
         }
         let nqueues = r.usize()?;
         if nqueues != ncpus {
@@ -696,13 +639,12 @@ impl Scheduler {
             .map(|_| Ok(Option::<u64>::load(r)?.map(TaskId)))
             .collect::<Result<Vec<_>, SnapError>>()?;
         for t in new_running.iter().flatten() {
-            if t.index() >= new_tasks.len() {
+            if t.index() >= ntasks {
                 return Err(SnapError::Corrupt(format!(
                     "running table names {t} beyond the task table"
                 )));
             }
         }
-        *tasks = new_tasks;
         *runqueues = new_queues;
         *busy = BusyMasks::idle(ncpus);
         for (i, t) in new_running.iter().enumerate() {
@@ -832,21 +774,40 @@ mod tests {
         assert_eq!(sw.next.expect("next").task, starved, "lower vruntime wins");
     }
 
+    /// Queues `b` on cpu0 behind `a`, which must run there: while hogs
+    /// pinned to every other CPU of `b`'s mask run, all of them are equally
+    /// loaded and the lowest, cpu0, takes `b`. The hogs then block, so
+    /// those CPUs are idle when the caller steals.
+    fn queue_on_cpu0(sched: &mut Scheduler, a: TaskId, b: TaskId) {
+        assert_eq!(sched.wake(a, SimTime::ZERO).expect("idle").cpu, CpuId(0));
+        let others: Vec<CpuId> = sched
+            .affinity_of(b)
+            .iter()
+            .filter(|&c| c != CpuId(0))
+            .collect();
+        let hogs: Vec<TaskId> = others
+            .into_iter()
+            .map(|c| {
+                let h = sched.spawn([c].into_iter().collect());
+                sched.wake(h, SimTime::ZERO).expect("idle");
+                h
+            })
+            .collect();
+        assert_eq!(sched.wake_outcome(b), Some(WakeOutcome::Queued(CpuId(0))));
+        for h in hogs {
+            sched.block(h);
+        }
+    }
+
     #[test]
     fn steal_pulls_from_loaded_cpu() {
         let (topo, mut sched) = small();
         let mask: CpuSet = [CpuId(0)].into_iter().collect();
-        let a = sched.spawn(topo.all_cpus().clone());
+        let a = sched.spawn(mask);
         let b = sched.spawn(topo.all_cpus().clone());
-        // Force both onto cpu0's queue via affinity trickery: a runs on 0,
-        // b queues on 0 because its affinity is momentarily only cpu0.
-        sched.set_affinity(a, mask.clone());
-        sched.set_affinity(b, mask.clone());
-        sched.wake(a, SimTime::ZERO);
-        sched.wake(b, SimTime::ZERO);
+        queue_on_cpu0(&mut sched, a, b);
         assert_eq!(sched.runqueue_len(CpuId(0)), 1);
-        // Widen b's affinity again; cpu1 can now steal it.
-        sched.set_affinity(b, topo.all_cpus().clone());
+        // b's mask allows cpu1, so cpu1 can steal it.
         let p = sched.steal(CpuId(1)).expect("steal succeeds");
         assert_eq!(p.task, b);
         assert_eq!(p.cpu, CpuId(1));
@@ -869,12 +830,9 @@ mod tests {
         };
         // Queue work on cpu 0 (ccx 0). An idle cpu in ccx 1 must NOT steal it.
         let mask0: CpuSet = [CpuId(0)].into_iter().collect();
-        let a = sched.spawn(mask0.clone());
+        let a = sched.spawn(mask0);
         let b = sched.spawn(topo.all_cpus().clone());
-        sched.wake(a, SimTime::ZERO);
-        sched.set_affinity(b, mask0);
-        sched.wake(b, SimTime::ZERO);
-        sched.set_affinity(b, topo.all_cpus().clone());
+        queue_on_cpu0(&mut sched, a, b);
         let far_cpu = topo.cpus_in_ccx(cputopo::CcxId(1)).first().expect("ccx1");
         assert_eq!(topo.proximity(CpuId(0), far_cpu), Proximity::SameCcd);
         assert!(
@@ -896,11 +854,9 @@ mod tests {
             },
         );
         let mask: CpuSet = [CpuId(0)].into_iter().collect();
-        let a = sched.spawn(mask.clone());
-        let b = sched.spawn(mask.clone());
-        sched.wake(a, SimTime::ZERO);
-        sched.wake(b, SimTime::ZERO);
-        sched.set_affinity(b, topo.all_cpus().clone());
+        let a = sched.spawn(mask);
+        let b = sched.spawn(topo.all_cpus().clone());
+        queue_on_cpu0(&mut sched, a, b);
         assert!(sched.steal(CpuId(1)).is_none());
     }
 
@@ -986,7 +942,12 @@ mod tests {
         let mut w = SnapWriter::new();
         sched.snap_save(&mut w);
         let bytes = w.finish();
+        // The restored scheduler spawns the same tasks, which sets their
+        // affinities; the snapshot carries none.
         let mut restored = Scheduler::new(topo.clone(), SchedParams::default());
+        for &t in &tasks {
+            restored.spawn(sched.affinity_of(t).clone());
+        }
         let mut r = SnapReader::new(&bytes).unwrap();
         restored.snap_restore(&mut r).expect("restores");
 
@@ -1029,6 +990,27 @@ mod tests {
         match other.snap_restore(&mut r) {
             Err(SnapError::Corrupt(msg)) => assert!(msg.contains("runqueues"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_a_different_task_count() {
+        let (topo, mut sched) = small();
+        for _ in 0..3 {
+            sched.spawn(topo.all_cpus().clone());
+        }
+        let mut w = SnapWriter::new();
+        sched.snap_save(&mut w);
+        let bytes = w.finish();
+        for spawned in [2, 4] {
+            let mut other = Scheduler::new(topo.clone(), SchedParams::default());
+            for _ in 0..spawned {
+                other.spawn(topo.all_cpus().clone());
+            }
+            match other.snap_restore(&mut SnapReader::new(&bytes).unwrap()) {
+                Err(SnapError::Corrupt(msg)) => assert!(msg.contains("3 tasks"), "{msg}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
         }
     }
 

@@ -44,7 +44,7 @@ use crate::time::{SimDuration, SimTime};
 /// Leading magic of every snapshot buffer.
 pub const SNAP_MAGIC: [u8; 4] = *b"SNAP";
 /// Current format version; bumped on any layout change.
-pub const SNAP_VERSION: u32 = 1;
+pub const SNAP_VERSION: u32 = 2;
 /// Magic separating the body from the checksum trailer.
 const TRAILER_MAGIC: [u8; 4] = *b"ENDS";
 /// Tag byte opening a named section.
@@ -281,23 +281,6 @@ impl SnapWriter {
     pub fn u64s(&mut self, v: &[u64]) {
         self.usize(v.len());
         self.buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
-    }
-
-    /// [`SnapWriter::u64s`] of `rows` laid end to end, a `None` row
-    /// standing for `N` zeros. A zero row costs no pass of its own: the
-    /// slice is zero-filled once and only present rows are copied in.
-    pub fn u64_rows<'r, const N: usize>(
-        &mut self,
-        rows: impl ExactSizeIterator<Item = Option<&'r [u64; N]>>,
-    ) {
-        self.usize(rows.len() * N);
-        let start = self.buf.len();
-        self.buf.resize(start + rows.len() * N * 8, 0);
-        for (dst, row) in self.buf[start..].chunks_exact_mut(N * 8).zip(rows) {
-            for (d, x) in dst.chunks_exact_mut(8).zip(row.into_iter().flatten()) {
-                d.copy_from_slice(&x.to_le_bytes());
-            }
-        }
     }
 
     /// Writes a length-framed `u32` slice in one pass — byte-identical to
@@ -540,32 +523,6 @@ impl<'a> SnapReader<'a> {
             .collect())
     }
 
-    /// Reads a slice written by [`SnapWriter::u64_rows`] (or
-    /// [`SnapWriter::u64s`]) as rows of `N` values, `None` for a row of
-    /// zeros. The slice is checked against the buffer up front and must
-    /// hold whole rows.
-    pub fn u64_rows<const N: usize>(
-        &mut self,
-    ) -> Result<impl ExactSizeIterator<Item = Option<[u64; N]>> + Clone + 'a, SnapError> {
-        let raw = self.take_items(8)?;
-        if raw.len() % (N * 8) != 0 {
-            return Err(SnapError::Corrupt(format!(
-                "{} u64s do not form rows of {N}",
-                raw.len() / 8
-            )));
-        }
-        // The zero test ORs every byte rather than stopping at the first
-        // nonzero one: most rows are zero, and a loop with no early exit
-        // vectorizes.
-        Ok(raw.chunks_exact(N * 8).map(|row| {
-            (row.iter().fold(0, |acc, &b| acc | b) != 0).then(|| {
-                std::array::from_fn(|i| {
-                    u64::from_le_bytes(row[i * 8..i * 8 + 8].try_into().expect("8"))
-                })
-            })
-        }))
-    }
-
     /// Reads a slice written by [`SnapWriter::u32s`] (or `Vec<u32>::save`)
     /// in one pass; the result holds exactly its elements.
     pub fn u32s(&mut self) -> Result<Vec<u32>, SnapError> {
@@ -615,6 +572,11 @@ pub trait Snap: Sized {
 /// struct literal, so the list must name every field: one added to the
 /// struct but not to the list fails to compile. A tuple struct lists its
 /// fields by index.
+///
+/// When the missing field is private to another module, the `save` side
+/// reports only "pattern requires `..` due to inaccessible fields" at the
+/// invocation; the `load` side's `error[E0063]: missing field …` is the
+/// message that names it.
 ///
 /// ```
 /// use simcore::{snap_fields, Snap, SnapReader, SnapWriter};
@@ -1004,28 +966,6 @@ mod tests {
             let mut r = SnapReader::new(&bytes).expect("valid");
             proptest::prop_assert_eq!(Vec::<u64>::load(&mut r).unwrap(), wide.clone());
             proptest::prop_assert_eq!(Vec::<u32>::load(&mut r).unwrap(), narrow);
-
-            // Rows of 4 (every other value zeroed so zero rows occur), the
-            // zero ones given as `None`: the bytes of `u64s`, read back
-            // with `None` for exactly the zero rows.
-            let whole: Vec<u64> = wide[..wide.len() / 4 * 4]
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| if i % 8 < 4 { x } else { 0 })
-                .collect();
-            let rows: Vec<&[u64; 4]> = whole.chunks_exact(4).map(|c| c.try_into().unwrap()).collect();
-            let zero = |row: &&[u64; 4]| row.iter().all(|&x| x == 0);
-            let mut by_rows = SnapWriter::bare(Vec::new());
-            by_rows.u64_rows(rows.iter().map(|row| (!zero(row)).then_some(*row)));
-            let mut flat = SnapWriter::bare(Vec::new());
-            flat.u64s(&whole);
-            let bytes = by_rows.into_bare();
-            proptest::prop_assert_eq!(&bytes, &flat.into_bare());
-            let back: Vec<Option<[u64; 4]>> =
-                SnapReader::bare(&bytes).u64_rows::<4>().unwrap().collect();
-            let want: Vec<Option<[u64; 4]>> =
-                rows.iter().map(|row| (!zero(row)).then_some(**row)).collect();
-            proptest::prop_assert_eq!(back, want);
         }
     }
 
@@ -1051,14 +991,6 @@ mod tests {
                 "{cut}: {got:?}"
             );
         }
-    }
-
-    #[test]
-    fn row_reader_rejects_a_partial_row() {
-        let mut w = SnapWriter::bare(Vec::new());
-        w.u64s(&[1, 2, 3]);
-        let got = SnapReader::bare(&w.into_bare()).u64_rows::<2>().map(|_| ());
-        assert!(matches!(got, Err(SnapError::Corrupt(_))), "{got:?}");
     }
 
     #[test]

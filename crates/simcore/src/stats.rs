@@ -156,7 +156,8 @@ pub struct LogHistogram {
     // Bucket layout: values < SUBBUCKETS are exact (one bucket per value);
     // beyond that, each power-of-two range is split into SUBBUCKETS linear
     // sub-buckets. Bucket `i` is `rows[tier_row[i / ROW]][i % ROW]`; a tier
-    // without a row (`NO_ROW`) counts zero everywhere.
+    // without a row (`NO_ROW`) counts zero everywhere, and a tier gets its
+    // row with its first count.
     tier_row: [u8; TIERS],
     rows: Vec<[u64; ROW]>,
     total: u64,
@@ -518,8 +519,8 @@ crate::snap_fields!(Welford {
 });
 
 impl Snap for LogHistogram {
-    /// The dense layout: all `TIERS × ROW` counts, zeros where a tier has
-    /// no row.
+    /// A mask of the tiers that hold counts (bit `t` for tier `t`), then
+    /// those tiers' rows in tier order, then the scalars.
     fn save(&self, w: &mut SnapWriter) {
         let Self {
             tier_row,
@@ -529,34 +530,44 @@ impl Snap for LogHistogram {
             min,
             max,
         } = self;
-        w.u64_rows(tier_row.iter().map(|&r| rows.get(usize::from(r))));
+        w.u64(
+            (0..TIERS)
+                .filter(|&t| tier_row[t] != NO_ROW)
+                .fold(0, |mask, t| mask | 1 << t),
+        );
+        for row in tier_row.iter().filter_map(|&r| rows.get(usize::from(r))) {
+            for &count in row {
+                w.u64(count);
+            }
+        }
         w.u64(*total);
         w.u128(*sum);
         w.u64(*min);
         w.u64(*max);
     }
 
-    /// Rebuilds rows for the tiers with counts, allocating exactly those,
-    /// and rejects counts that do not add up to the total or disagree with
-    /// `min`, `max` and `sum`.
+    /// Rebuilds rows for the tiers in the mask, allocating exactly those,
+    /// and rejects a present row without counts, counts that do not add up
+    /// to the total, and counts that disagree with `min`, `max` and `sum`.
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let corrupt = |what: String| Err(SnapError::Corrupt(format!("histogram {what}")));
-        let dense = r.u64_rows::<ROW>()?;
-        if dense.len() != TIERS {
-            return corrupt(format!(
-                "has {} buckets, this build uses {}",
-                dense.len() * ROW,
-                TIERS * ROW
-            ));
+        let mask = r.u64()?;
+        if mask >> TIERS != 0 {
+            return corrupt(format!("tier mask {mask:#x} names tiers past {TIERS}"));
         }
         let mut tier_row = [NO_ROW; TIERS];
-        let mut rows = Vec::with_capacity(dense.clone().flatten().count());
+        let mut rows = Vec::with_capacity(mask.count_ones() as usize);
         let (mut counted, mut first, mut last) = (0u128, None, 0);
-        for (tier, row) in dense.enumerate() {
-            let Some(row) = row else { continue };
-            let at = |sub: Option<usize>| tier * ROW + sub.unwrap_or(0);
-            first = first.or(Some(at(row.iter().position(|&c| c != 0))));
-            last = at(row.iter().rposition(|&c| c != 0));
+        for tier in (0..TIERS).filter(|&t| mask >> t & 1 != 0) {
+            let mut row = ZERO_ROW;
+            for count in &mut row {
+                *count = r.u64()?;
+            }
+            let Some(lo) = row.iter().position(|&c| c != 0) else {
+                return corrupt(format!("tier {tier} is present but holds no counts"));
+            };
+            first = first.or(Some(tier * ROW + lo));
+            last = tier * ROW + row.iter().rposition(|&c| c != 0).unwrap_or(lo);
             counted += row.iter().map(|&c| u128::from(c)).sum::<u128>();
             tier_row[tier] = rows.len() as u8;
             rows.push(row);
@@ -734,8 +745,8 @@ mod tests {
         LogHistogram::new().quantile(1.5);
     }
 
-    /// The histogram as one dense `Vec` of every bucket: the layout the
-    /// snapshot codec writes, kept as the reference for the rows.
+    /// The histogram as one dense `Vec` of every bucket, kept as the
+    /// reference for the rows' counts and quantiles.
     #[derive(Debug, Clone, PartialEq)]
     struct DenseHistogram {
         counts: Vec<u64>,
@@ -788,16 +799,6 @@ mod tests {
             }
             self.max
         }
-
-        fn bytes(&self) -> Vec<u8> {
-            let mut w = SnapWriter::bare(Vec::new());
-            w.u64s(&self.counts);
-            w.u64(self.total);
-            w.u128(self.sum);
-            w.u64(self.min);
-            w.u64(self.max);
-            w.into_bare()
-        }
     }
 
     fn histogram_bytes(h: &LogHistogram) -> Vec<u8> {
@@ -828,10 +829,13 @@ mod tests {
             assert_eq!(h.quantile(q), d.quantile(q), "q {q}");
         }
         let bytes = histogram_bytes(h);
-        assert_eq!(bytes, d.bytes(), "the codec must write the dense layout");
         let loaded = load_histogram(&bytes).expect("a saved histogram loads");
         assert_eq!(&loaded, h);
-        assert_eq!(histogram_bytes(&loaded), bytes);
+        assert_eq!(
+            histogram_bytes(&loaded),
+            bytes,
+            "save, load, save is stable"
+        );
     }
 
     /// A value whose magnitude is uniform over every tier, including 0 and
@@ -883,22 +887,24 @@ mod tests {
 
         #[test]
         fn damaged_histogram_bytes_fail_cleanly(
-            cut in 0usize..(TIERS * ROW * 8 + 48),
-            bit in 0usize..((TIERS * ROW * 8 + 48) * 8),
-            word in 0usize..(TIERS * ROW + 6),
+            cut in proptest::arbitrary::any::<usize>(),
+            bit in proptest::arbitrary::any::<usize>(),
+            word in proptest::arbitrary::any::<usize>(),
             junk in proptest::arbitrary::any::<u64>(),
             noise in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..400),
         ) {
             let good = histogram_bytes(&populated());
-            proptest::prop_assert_eq!(good.len(), TIERS * ROW * 8 + 48);
+            // The tier mask, six rows, then the total, sum, min and max.
+            proptest::prop_assert_eq!(good.len(), 8 + 6 * ROW * 8 + 40);
             // Truncated anywhere: an error, never a panic.
-            proptest::prop_assert!(load_histogram(&good[..cut]).is_err());
-            // One flipped bit in the frame, a count or the total breaks the
-            // sum of counts; anywhere else the decoder either refuses or
-            // returns exactly what the bytes say.
+            proptest::prop_assert!(load_histogram(&good[..cut % good.len()]).is_err());
+            // One flipped bit in the tier mask, a count or the total breaks
+            // the frame or the sum of counts; anywhere else the decoder
+            // either refuses or returns exactly what the bytes say.
+            let bit = bit % (good.len() * 8);
             let mut flipped = good.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            let in_counts = bit / 8 < 8 * (1 + TIERS * ROW + 1);
+            let in_counts = bit / 8 < good.len() - 32;
             match load_histogram(&flipped) {
                 Err(_) => {}
                 Ok(h) => {
@@ -907,6 +913,7 @@ mod tests {
                 }
             }
             // An overwritten word: refused, or decoded faithfully.
+            let word = word % (good.len() / 8);
             let mut overwritten = good.clone();
             overwritten[word * 8..word * 8 + 8].copy_from_slice(&junk.to_le_bytes());
             if let Ok(h) = load_histogram(&overwritten) {
@@ -916,10 +923,10 @@ mod tests {
                     proptest::prop_assert!(h.min() <= v && v <= h.max());
                 }
             }
-            // Random bytes, bare and behind a correct bucket-count frame.
+            // Random bytes, bare and behind the correct tier mask.
             proptest::prop_assert!(load_histogram(&noise).is_err());
             let mut framed = good[..8].to_vec();
-            framed.extend(noise.iter().cycle().take(TIERS * ROW * 8 + 48));
+            framed.extend(noise.iter().cycle().take(good.len() - 8));
             if !noise.is_empty() {
                 proptest::prop_assert!(load_histogram(&framed).is_err());
             }

@@ -56,7 +56,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("e27", 0x6d4b_c8f4_dd5d_30a9),
     ("e28", 0x2541_f7c8_add9_b88d),
     ("e29", 0x674d_2227_498a_d819),
-    ("snap", 0x5a8c_0394_8e12_0c2e),
+    ("snap", 0x8d0b_2a1a_4a90_05e3),
     ("chaos", 0xb78d_ea27_7ad2_39e7),
     ("a1", 0x9959_43d2_c0ed_d43b),
     ("a2", 0xfe71_b08c_eee7_0907),

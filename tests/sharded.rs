@@ -144,22 +144,8 @@ fn sharded_tables_are_identical_at_any_worker_count() {
     }
 }
 
-#[test]
-fn sharded_checkpoint_roundtrip_is_invisible() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // The checkpoint detour saves the whole sharded run at the end-of-warmup
-    // barrier, rebuilds every cell from scratch, restores, and resumes. The
-    // report must match the straight run bit for bit.
-    let config = sharded_config(2, 0);
-    let app = config.store.app();
-    let replicas = config.baseline_replicas();
-    let placed = scaleup::placement::Policy::Unpinned.deploy(app, &config.lab.topo, &replicas);
-    let straight = config
-        .lab
-        .run_app(app, placed.deployment.clone(), placed.lb);
-    let mut ckpt_lab = config.lab.clone();
-    ckpt_lab.checkpoint = true;
-    let resumed = ckpt_lab.run_app(app, placed.deployment, placed.lb);
+/// Two reports agree bit for bit.
+fn assert_identical(what: &str, straight: &microsvc::RunReport, resumed: &microsvc::RunReport) {
     assert_eq!(straight.completed, resumed.completed);
     assert_eq!(straight.events_processed, resumed.events_processed);
     assert_eq!(straight.mean_latency, resumed.mean_latency);
@@ -167,11 +153,43 @@ fn sharded_checkpoint_roundtrip_is_invisible() {
     assert_eq!(
         straight.throughput_rps.to_bits(),
         resumed.throughput_rps.to_bits(),
-        "sharded checkpoint round-trip diverged: {} vs {}",
+        "{what} checkpoint round-trip diverged: {} vs {}",
         straight.throughput_rps,
         resumed.throughput_rps
     );
     assert_eq!(straight.summary(), resumed.summary());
+}
+
+#[test]
+fn sharded_checkpoint_roundtrip_is_invisible() {
+    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // The checkpoint detour saves the whole sharded run at the end-of-warmup
+    // barrier, rebuilds every cell from scratch, restores, and resumes. The
+    // report must match the straight run bit for bit, closed and open loop.
+    let config = sharded_config(2, 0);
+    let app = config.store.app();
+    let replicas = config.baseline_replicas();
+    let placed = || scaleup::placement::Policy::Unpinned.deploy(app, &config.lab.topo, &replicas);
+    let lab = |checkpoint| {
+        let mut lab = config.lab.clone();
+        lab.checkpoint = checkpoint;
+        lab
+    };
+    let closed = |checkpoint| {
+        let placed = placed();
+        lab(checkpoint).run_app(app, placed.deployment, placed.lb)
+    };
+    let straight = closed(false);
+    assert_identical("sharded closed-loop", &straight, &closed(true));
+    // The open loop runs at 70% of the closed loop's throughput.
+    let rate = 0.7 * straight.throughput_rps;
+    let open = |checkpoint| {
+        let placed = placed();
+        lab(checkpoint).run_app_open(app, placed.deployment, placed.lb, rate)
+    };
+    let straight = open(false);
+    assert!(straight.completed > 0, "the open-loop run did real work");
+    assert_identical("sharded open-loop", &straight, &open(true));
 }
 
 #[test]

@@ -23,7 +23,7 @@ use microsvc::{
 use proptest::prelude::*;
 use scaleup::{placement::Policy, tuner, BranchOverrides, Lab};
 use scaleup_bench::{experiments as exp, Config};
-use simcore::snap::fnv64;
+use simcore::snap::{fnv64, SNAP_VERSION};
 use simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
 use std::sync::{Arc, Mutex};
 use teastore::TeaStore;
@@ -370,10 +370,12 @@ fn zen2_cell_mid_run() -> (Engine, ClosedLoop) {
 
 #[test]
 fn codec_bytes_match_the_pinned_layout() {
-    // The snapshot layout is a contract (`SNAP_VERSION` 1): a codec may get
-    // faster, but it must keep writing exactly these bytes. Pinned as the
-    // FNV-64 of each full enveloped snapshot. The bare micro-snapshot the
-    // wide adaptive rounds take must be exactly the enveloped body.
+    // The snapshot layout is a contract: a codec may get faster, but it
+    // must keep writing exactly these bytes. Pinned as the FNV-64 of each
+    // full enveloped snapshot. The bare micro-snapshot the wide adaptive
+    // rounds take must be exactly the enveloped body. Pins re-recorded for
+    // a layout change come with a version bump, checked here with them.
+    assert_eq!(SNAP_VERSION, 2, "a layout change bumps SNAP_VERSION");
     let (engine, load) = zen2_cell_mid_run();
     let mut w = SnapWriter::new();
     engine.snap_save(&mut w);
@@ -387,12 +389,12 @@ fn codec_bytes_match_the_pinned_layout() {
     assert_eq!(bare.into_bare(), engine_bytes[8..engine_bytes.len() - 12]);
     assert_eq!(
         (engine_bytes.len(), fnv64(&engine_bytes)),
-        (339_636, 0xdea5_364a_175a_0acc),
+        (91_060, 0x1f69_daa1_a6da_b205),
         "engine snapshot bytes moved"
     );
     assert_eq!(
         (load_bytes.len(), fnv64(&load_bytes)),
-        (16_342, 0xabf5_fb64_7072_cdbb),
+        (16_342, 0x7504_a042_d4da_6a70),
         "closed-loop snapshot bytes moved"
     );
 
@@ -408,7 +410,7 @@ fn codec_bytes_match_the_pinned_layout() {
     let full_bytes = w.finish();
     assert_eq!(
         (full_bytes.len(), fnv64(&full_bytes)),
-        (315_038, 0xa1c8_bb85_8c83_3865),
+        (62_174, 0xcdee_7cd1_8e79_7557),
         "full-feature engine snapshot bytes moved"
     );
 }
@@ -500,9 +502,9 @@ fn flipped_and_truncated_engine_snapshots_fail_cleanly() {
         }));
         assert!(got.is_ok(), "{what} panicked");
     };
-    // The engine's own tables come first and the metrics' dense histograms
-    // fill most of the rest: every fourth byte of the first 12 KiB, which
-    // reaches a high byte of each length there, then a sparse sample.
+    // The engine's own tables come first and the metrics' histograms
+    // follow: every fourth byte of the first 12 KiB, which reaches a high
+    // byte of each length there, then a sparse sample.
     let dense = (8..12 * 1024).step_by(4).map(|at| (at, 0xff));
     let sparse = (12 * 1024..end)
         .step_by(997)
